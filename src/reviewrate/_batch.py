@@ -1,11 +1,11 @@
-"""Vectorized replication engine used by the bootstrap and the coverage studies.
+"""Vectorized replication engine, and the one implementation of the estimator and intervals.
 
 Replicates the per-stratum review simulation and the point estimator across
 many independent replications at once, with every replication occupying one
-lane of the trailing array axis. The algorithm and arithmetic order match the
-scalar modules exactly (the scalar and batch estimators agree to the last
-bit on identical counts); only the random-draw layout differs, with each
-sampler call drawing one value per lane instead of one value per call.
+lane of the trailing array axis. The scalar estimator and intervals are
+one-lane views of this module, and a lane's arithmetic does not depend on the
+lane count. The simulation differs from the scalar generator only in its
+random-draw layout, with each sampler call drawing one value per lane.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ __all__ = [
     "hypergeometric_split",
     "generate_counts",
     "estimate_counts",
+    "wald_variance",
+    "gamma_variance",
     "wald_bounds",
+    "moment_gamma_quantile",
     "gamma_bounds",
     "bootstrap_bounds",
 ]
@@ -111,25 +114,42 @@ def estimate_counts(e: np.ndarray, n: np.ndarray, m: float) -> BatchEstimate:
     for t in range(1, T + 1):
         n_t = n[:, t - 1]
         # Escalation fraction first (e_t/n_t <= 1 exactly for integer counts)
-        # keeps the sequence non-increasing to the last bit, as in the scalar path.
+        # keeps the sequence non-increasing to the last bit.
         Lambda[:, t] = np.where(
             e[:, t - 1] > 0, Lambda[:, t - 1] * (e[:, t] / np.maximum(n_t, 1)), 0.0
         )
 
-    lam = np.empty_like(Lambda)
-    lam[:, :T] = Lambda[:, :T] - Lambda[:, 1:]
-    lam[:, T] = Lambda[:, T]
+    lam = Lambda.copy()
+    lam[:, :T] -= Lambda[:, 1:]
 
     pi_tier = np.where(e[:, :T] > 0, n / np.maximum(e[:, :T], 1), 1.0)
     pi_prod = pi_tier.prod(axis=1)
     weights = 1.0 / (m * pi_prod)
 
     lam_T = Lambda[:, T]
-    theta = lam_T.sum(axis=0)
-    wald_var = (lam_T / pi_prod).sum(axis=0) / m
-    gamma_var = (weights**2 * e[:, T]).sum(axis=0)
+    theta = _strata_sum(lam_T)
+    wald_var = wald_variance(lam_T, pi_prod, m)
+    gamma_var = gamma_variance(weights, e[:, T])
     w_max = weights.max(axis=0)
     return BatchEstimate(Lambda, lam, pi_tier, pi_prod, weights, theta, wald_var, gamma_var, w_max)
+
+
+def _strata_sum(values: np.ndarray) -> np.ndarray:
+    """Sum (H, R) values over strata in stratum order; ``sum(axis=0)`` adds pairwise at R=1."""
+    total = np.zeros(values.shape[1:])
+    for row in values:
+        total += row
+    return total
+
+
+def wald_variance(lam_T: np.ndarray, pi_prod: np.ndarray, m: float) -> np.ndarray:
+    """Plug-in asymptotic variance of theta per lane: ``(1/m) * sum_h lambda_hT / pi_h``."""
+    return _strata_sum(lam_T / pi_prod) / m
+
+
+def gamma_variance(weights: np.ndarray, e_T: np.ndarray) -> np.ndarray:
+    """Variance of the weighted sum of independent Poissons per lane: ``sum_h w_h^2 e_hT``."""
+    return _strata_sum(weights**2 * e_T)
 
 
 def wald_bounds(
@@ -139,6 +159,11 @@ def wald_bounds(
     z = ndtri(1.0 - (1.0 - level) / 2.0)
     half = z * np.sqrt(wald_var)
     return theta - half, theta + half
+
+
+def moment_gamma_quantile(p: float, mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Quantile ``p`` of the gamma with shape mean^2/variance and scale variance/mean."""
+    return gammaincinv(mean * mean / variance, p) * (variance / mean)
 
 
 def gamma_bounds(
@@ -152,17 +177,8 @@ def gamma_bounds(
     alpha = 1.0 - level
     lower = np.zeros_like(theta)
     pos = theta > 0
-    if np.any(pos):
-        mean = theta[pos]
-        var = gamma_var[pos]
-        shape = mean * mean / var
-        scale = var / mean
-        lower[pos] = gammaincinv(shape, alpha / 2.0) * scale
-    mean_u = theta + w_max
-    var_u = gamma_var + w_max**2
-    shape_u = mean_u * mean_u / var_u
-    scale_u = var_u / mean_u
-    upper = gammaincinv(shape_u, 1.0 - alpha / 2.0) * scale_u
+    lower[pos] = moment_gamma_quantile(alpha / 2.0, theta[pos], gamma_var[pos])
+    upper = moment_gamma_quantile(1.0 - alpha / 2.0, theta + w_max, gamma_var + w_max**2)
     return lower, upper
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: generate datasets, estimate rates, run coverage studies.
 
-Exit codes: 0 success, 1 usage error, 2 validation error (malformed files or
-inconsistent data), 3 internal error. All output files are written
-atomically (temp file in the target directory, then rename), and every
+Exit codes: 0 success, 1 usage error (any bad flag value), 2 validation error
+(malformed files or inconsistent data), 3 internal error. All output files are
+written atomically (temp file in the target directory, then rename), and every
 command is deterministic given its flags and seed. The default seed comes
 from the ``REVIEWRATE_SEED`` environment variable when set, else 0.
 """
@@ -10,18 +10,19 @@ from the ``REVIEWRATE_SEED`` environment variable when set, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .distributions import RngStream
 from .estimator import estimate_theta
 from .generator import generate_dataset
 from .intervals import ci_bootstrap, ci_gamma_wsip, ci_wald
-from .model import Dataset, InvalidDataError, Scenario
-from .study import DEFAULT_PI1_GRID, StudySpec, rows_to_csv, run_sweep
+from .model import Dataset, InvalidDataError, Scenario, check_bootstrap_replicates, check_level
+from .study import DEFAULT_PI1_GRID, STUDY_SOURCES, StudySpec, rows_to_csv, run_sweep
 
 __all__ = ["main", "entry_point"]
 
@@ -29,8 +30,10 @@ _EXIT_USAGE = 1
 _EXIT_VALIDATION = 2
 _EXIT_INTERNAL = 3
 
-_CI_CHOICES = ("bootstrap", "wald", "gamma", "all", "none")
-_STUDY_SOURCES = {"common": "fixed-common", "rare": "fixed-rare", "comprehensive": "comprehensive"}
+# The CLI spells the interval methods and the fixed study sources more briefly.
+_CLI_METHODS = {"bootstrap": "bootstrap", "wald": "wald", "gamma": "gamma_wsip"}
+_CLI_SOURCES = {source.removeprefix("fixed-"): source for source in STUDY_SOURCES}
+_CI_CHOICES = (*_CLI_METHODS, "all", "none")
 
 
 class UsageError(Exception):
@@ -77,10 +80,17 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _check_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise UsageError(f"--level must lie strictly between 0 and 1, got {level}")
-    return level
+@contextlib.contextmanager
+def _flag_values() -> Iterator[None]:
+    """Report a value the library rejects as a usage error: it came from a flag."""
+    try:
+        yield
+    except InvalidDataError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _build_parser() -> _Parser:
@@ -102,9 +112,10 @@ def _build_parser() -> _Parser:
     est.add_argument("--json", dest="json_out", default=None, help="also write a JSON report")
 
     stu = sub.add_parser("study", help="run a coverage study and write its CSV")
-    stu.add_argument("--study", choices=sorted(_STUDY_SOURCES), required=True)
+    stu.add_argument("--study", choices=sorted(_CLI_SOURCES), required=True)
     stu.add_argument("--reps", type=int, default=1000, help="replications per grid point")
-    stu.add_argument("--grid", default=None, help="comma-separated first-tier sampling rates")
+    stu.add_argument("--grid", type=_numbers, default=DEFAULT_PI1_GRID,
+                     help="comma-separated first-tier sampling rates")
     stu.add_argument("--num-scenarios", type=int, default=100_000,
                      help="scenario count for the comprehensive study")
     stu.add_argument("--methods", default="bootstrap,wald,gamma",
@@ -128,23 +139,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _method_name(cli_name: str) -> str:
-    return "gamma_wsip" if cli_name == "gamma" else cli_name
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    level = _check_level(args.level)
-    if args.B < 100:
-        raise UsageError(f"--B must be at least 100, got {args.B}")
+    with _flag_values():
+        level = check_level(args.level)
+        check_bootstrap_replicates(args.B)
     dataset = Dataset.from_dict(_load_json(args.dataset))
     estimate = estimate_theta(dataset)
     m = dataset.config.m
 
-    requested = ("bootstrap", "wald", "gamma") if args.ci == "all" else (args.ci,)
+    requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
     intervals = []
     for name in requested:
-        if name == "none":
-            continue
         if name == "bootstrap":
             seed = args.seed if args.seed is not None else _default_seed()
             intervals.append(ci_bootstrap(dataset, level, args.B, RngStream(seed)))
@@ -183,40 +188,22 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    level = _check_level(args.level)
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    if args.num_scenarios < 1:
-        raise UsageError(f"--num-scenarios must be at least 1, got {args.num_scenarios}")
-
-    methods = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        if name not in ("bootstrap", "wald", "gamma"):
-            raise UsageError(f"--methods entries must be bootstrap, wald or gamma, got {name!r}")
-        methods.append(_method_name(name))
-
-    if args.grid is None:
-        grid = DEFAULT_PI1_GRID
-    else:
-        try:
-            grid = tuple(float(v) for v in args.grid.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--grid must be comma-separated numbers: {exc}") from exc
-        if any(not 0 < g <= 1 for g in grid):
-            raise UsageError(f"--grid values must lie in (0, 1], got {args.grid}")
-
+    try:
+        methods = tuple(_CLI_METHODS[name.strip()] for name in args.methods.split(","))
+    except KeyError as exc:
+        raise UsageError(f"--methods entries must be bootstrap, wald or gamma, got {exc}") from exc
     seed = args.seed if args.seed is not None else _default_seed()
-    spec = StudySpec(
-        source=_STUDY_SOURCES[args.study],
-        pi1_grid=grid,
-        replications=args.reps,
-        level=level,
-        methods=tuple(methods),
-        B=args.B,
-        num_scenarios=args.num_scenarios,
-        master_seed=seed,
-    )
+    with _flag_values():
+        spec = StudySpec(
+            source=_CLI_SOURCES[args.study],
+            pi1_grid=args.grid,
+            replications=args.reps,
+            level=args.level,
+            methods=methods,
+            B=args.B,
+            num_scenarios=args.num_scenarios,
+            master_seed=seed,
+        )
     rows = run_sweep(spec)
     _atomic_write(args.out, rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")

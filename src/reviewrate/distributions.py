@@ -12,7 +12,9 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
+
+from . import _batch
 
 __all__ = [
     "RngStream",
@@ -139,9 +141,7 @@ def gamma_quantile(p: float, mean: float, variance: float) -> float:
         raise ValueError(f"gamma mean must be positive and finite, got {mean!r}")
     if not (variance > 0.0 and math.isfinite(variance)):
         raise ValueError(f"gamma variance must be positive and finite, got {variance!r}")
-    shape = mean * mean / variance
-    scale = variance / mean
-    return float(gammaincinv(shape, p) * scale)
+    return float(_batch.moment_gamma_quantile(p, mean, variance))
 
 
 def normal_quantile(p: float) -> float:

@@ -9,7 +9,8 @@ events still alive after t tiers, normalized by mileage:
 
 Per-class rates are consecutive differences of the survival rates, and the
 aggregate rate is the sum over strata of the last per-class rate. An empty
-pool at any tier zeroes every later estimate.
+pool at any tier zeroes every later estimate. The functions here are
+one-lane views of ``_batch.estimate_counts``, which does the arithmetic.
 
 ``em_fixed_point_residual_t2`` evaluates, for two review tiers, the
 three-equation fixed-point system that the expectation-maximization update of
@@ -20,7 +21,13 @@ residuals, and perturbed points do not.
 
 from __future__ import annotations
 
-from .model import Dataset, InvalidDataError, ObservedStratum, RateEstimate, validate_observed
+from typing import Sequence
+
+import numpy as np
+
+from . import _batch
+from .model import Dataset, InvalidDataError, ObservedStratum, RateEstimate
+from .model import check_mileage, validate_observed
 
 __all__ = [
     "estimate_Lambda",
@@ -31,10 +38,25 @@ __all__ = [
 ]
 
 
-def _checked(stratum: ObservedStratum, label: str = "stratum") -> None:
-    check = validate_observed(stratum)
-    if not check:
-        raise InvalidDataError(f"invalid {label}: {check.reason}")
+def observed_counts(strata: Sequence[ObservedStratum]) -> tuple[np.ndarray, np.ndarray]:
+    """Validate every stratum and stack the counts into (H, T+1) and (H, T) int arrays."""
+    for h, stratum in enumerate(strata):
+        check = validate_observed(stratum)
+        if not check:
+            raise InvalidDataError(f"invalid stratum {h}: {check.reason}")
+    e = np.array([s.e for s in strata], dtype=np.int64)
+    n = np.array([s.n for s in strata], dtype=np.int64)
+    return e, n
+
+
+def _one_lane(strata: Sequence[ObservedStratum], m: float) -> _batch.BatchEstimate:
+    check_mileage(m)
+    e, n = observed_counts(strata)
+    return _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
+
+
+def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(row) for row in values[:, :, 0].tolist())
 
 
 def estimate_Lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
@@ -43,26 +65,12 @@ def estimate_Lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     The sequence is non-increasing; division by a review count only happens
     where the incoming pool was non-empty, which guarantees it is at least 1.
     """
-    _checked(stratum)
-    if not m > 0:
-        raise InvalidDataError(f"mileage must be positive, got {m!r}")
-    e, n = stratum.e, stratum.n
-    out = [e[0] / m]
-    for t in range(1, len(e)):
-        if e[t - 1] == 0:
-            out.append(0.0)
-        else:
-            # The escalation fraction is computed first: e_t/n_t <= 1 exactly for
-            # integer counts, so the sequence is non-increasing to the last bit.
-            out.append(out[t - 1] * (e[t] / n[t - 1]))
-    return tuple(out)
+    return _rows(_one_lane((stratum,), m).Lambda)[0]
 
 
 def estimate_lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     """Estimated per-class rates: differences of consecutive survival rates."""
-    Lam = estimate_Lambda(stratum, m)
-    T = len(Lam) - 1
-    return tuple(Lam[t] - Lam[t + 1] for t in range(T)) + (Lam[T],)
+    return _rows(_one_lane((stratum,), m).lam)[0]
 
 
 def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
@@ -72,37 +80,19 @@ def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
     that downstream inverse-sampling weights stay finite (such strata
     contribute a zero rate anyway).
     """
-    _checked(stratum)
-    e, n = stratum.e, stratum.n
-    return tuple(n[t - 1] / e[t - 1] if e[t - 1] > 0 else 1.0 for t in range(1, len(e)))
+    return _rows(_one_lane((stratum,), 1.0).pi_tier)[0]
 
 
 def estimate_theta(dataset: Dataset) -> RateEstimate:
     """Full point estimate for a dataset: per-stratum rates, weights, and the aggregate."""
-    m = dataset.config.m
-    for h, stratum in enumerate(dataset.strata):
-        _checked(stratum, label=f"stratum {h}")
-
-    Lambda_hat = tuple(estimate_Lambda(s, m) for s in dataset.strata)
-    lambda_hat = tuple(estimate_lambda(s, m) for s in dataset.strata)
-    pi_hat = tuple(estimate_pi(s) for s in dataset.strata)
-
-    pi_prod = []
-    for pis in pi_hat:
-        prod = 1.0
-        for p in pis:
-            prod *= p
-        pi_prod.append(prod)
-    weights = tuple(1.0 / (m * prod) for prod in pi_prod)
-    theta_hat = sum(lam[-1] for lam in lambda_hat)
-
+    fit = _one_lane(dataset.strata, dataset.config.m)
     return RateEstimate(
-        Lambda_hat=Lambda_hat,
-        lambda_hat=lambda_hat,
-        pi_hat=pi_hat,
-        pi_prod=tuple(pi_prod),
-        weights=weights,
-        theta_hat=theta_hat,
+        Lambda_hat=_rows(fit.Lambda),
+        lambda_hat=_rows(fit.lam),
+        pi_hat=_rows(fit.pi_tier),
+        pi_prod=tuple(fit.pi_prod[:, 0].tolist()),
+        weights=tuple(fit.weights[:, 0].tolist()),
+        theta_hat=float(fit.theta[0]),
     )
 
 
@@ -124,7 +114,7 @@ def em_fixed_point_residual_t2(
     which keeps the oracle informative at such degenerate candidate points
     instead of failing on them.
     """
-    _checked(stratum)
+    observed_counts((stratum,))  # raises on invalid counts
     if stratum.tiers != 2:
         raise InvalidDataError(f"the fixed-point system is defined for 2 tiers, got {stratum.tiers}")
     e, n = stratum.e, stratum.n

@@ -21,6 +21,7 @@ from .model import (
     ObservedStratum,
     Scenario,
     StratumParams,
+    check_mileage,
     validate_observed,
 )
 
@@ -37,8 +38,7 @@ def generate_stratum(
     is clamped up to 1, with the forced single review drawn uniformly from
     the pool). An empty pool terminates the stratum with zero-filled counts.
     """
-    if not m > 0:
-        raise ValueError(f"mileage must be positive, got {m!r}")
+    check_mileage(m)
     T = params.tiers
 
     # x[t][s]: events of class t still present in escalation set s.

@@ -16,23 +16,20 @@ Three constructions with different coverage/width trade-offs:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _batch
-from .distributions import RngStream, gamma_quantile, normal_quantile
-from .estimator import estimate_theta
+from .distributions import RngStream
+from .estimator import observed_counts
 from .model import Dataset, IntervalResult, InvalidDataError, RateEstimate
+from .model import check_bootstrap_replicates, check_level, check_mileage
 
 __all__ = ["ci_bootstrap", "ci_wald", "ci_gamma_wsip"]
 
 
-def _check_level(level: float) -> float:
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise InvalidDataError(f"confidence level must lie in (0, 1), got {level!r}")
-    return level
+def _column(values) -> np.ndarray:
+    """Per-stratum values as an (H, 1) array: one lane for the batch engine."""
+    return np.array(values, dtype=float)[:, None]
 
 
 def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> IntervalResult:
@@ -43,14 +40,9 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     Replicates with a zero estimate are kept: the refitted model genuinely
     produces them.
     """
-    level = _check_level(level)
-    B = int(B)
-    if B < 100:
-        raise InvalidDataError(f"bootstrap needs at least 100 replicates, got {B}")
-    estimate_theta(dataset)  # full validation, errors name the stratum
-
-    e_obs = np.array([s.e for s in dataset.strata], dtype=np.int64)
-    n_obs = np.array([s.n for s in dataset.strata], dtype=np.int64)
+    level = check_level(level)
+    B = check_bootstrap_replicates(B)
+    e_obs, n_obs = observed_counts(dataset.strata)
     lower, upper = _batch.bootstrap_bounds(
         e_obs, n_obs, dataset.config.m, level, B, rng.generator
     )
@@ -67,20 +59,16 @@ def ci_wald(
     reported as-is even when negative; ``clamp_at_zero`` floors it at 0.
     A zero estimate yields the degenerate interval (0, 0).
     """
-    level = _check_level(level)
-    if not m > 0:
-        raise InvalidDataError(f"mileage must be positive, got {m!r}")
-    variance = sum(
-        lam_T / prod for lam_T, prod in zip(estimate.theta_by_stratum, estimate.pi_prod)
-    ) / m
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    half = z * math.sqrt(variance)
-    lower = estimate.theta_hat - half
+    level = check_level(level)
+    check_mileage(m)
+    variance = _batch.wald_variance(
+        _column(estimate.theta_by_stratum), _column(estimate.pi_prod), m
+    )
+    lower, upper = _batch.wald_bounds(np.array([estimate.theta_hat]), variance, level)
+    lower = float(lower[0])
     if clamp_at_zero:
         lower = max(0.0, lower)
-    return IntervalResult(
-        method="wald", level=level, lower=lower, upper=estimate.theta_hat + half
-    )
+    return IntervalResult(method="wald", level=level, lower=lower, upper=float(upper[0]))
 
 
 def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> IntervalResult:
@@ -91,20 +79,19 @@ def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> Int
     the upper bound shifts both moments up by the largest weight, which keeps
     it defined and conservative even with no observed events.
     """
-    level = _check_level(level)
-    alpha = 1.0 - level
-    weights = estimate.weights
+    level = check_level(level)
     e_T = [s.e[-1] for s in dataset.strata]
-    if len(e_T) != len(weights):
+    if len(e_T) != len(estimate.weights):
         raise InvalidDataError(
-            f"estimate covers {len(weights)} strata but dataset has {len(e_T)}"
+            f"estimate covers {len(estimate.weights)} strata but dataset has {len(e_T)}"
         )
-    variance = sum(w * w * e for w, e in zip(weights, e_T))
-    w_max = max(weights)
-
-    theta = estimate.theta_hat
-    lower = gamma_quantile(alpha / 2.0, theta, variance) if theta > 0 else 0.0
-    upper = gamma_quantile(
-        1.0 - alpha / 2.0, theta + w_max, variance + w_max * w_max
+    weights = _column(estimate.weights)
+    lower, upper = _batch.gamma_bounds(
+        np.array([estimate.theta_hat]),
+        _batch.gamma_variance(weights, _column(e_T)),
+        weights.max(axis=0),
+        level,
     )
-    return IntervalResult(method="gamma_wsip", level=level, lower=lower, upper=upper)
+    return IntervalResult(
+        method="gamma_wsip", level=level, lower=float(lower[0]), upper=float(upper[0])
+    )

@@ -8,6 +8,7 @@ full consistency check and reports the first violated constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -28,9 +29,34 @@ __all__ = [
 
 CI_METHODS = ("bootstrap", "wald", "gamma_wsip")
 
+# numpy's Poisson sampler rejects rates above this value, its POISSON_LAM_MAX.
+_MAX_POISSON_RATE = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
 
 class InvalidDataError(ValueError):
     """Raised when observed data or a scenario violates a structural constraint."""
+
+
+def check_level(level: float) -> float:
+    """Return ``level`` as a float, or raise if it is not a confidence level in (0, 1)."""
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise InvalidDataError(f"confidence level must lie in (0, 1), got {level!r}")
+    return level
+
+
+def check_mileage(m: float) -> None:
+    """Raise unless the mileage is positive and finite."""
+    if not (m > 0 and math.isfinite(m)):
+        raise InvalidDataError(f"mileage must be positive and finite, got {m!r}")
+
+
+def check_bootstrap_replicates(B: int) -> int:
+    """Return ``B`` as an int, or raise if it is too few bootstrap replicates."""
+    B = int(B)
+    if B < 100:
+        raise InvalidDataError(f"bootstrap needs at least 100 replicates, got {B}")
+    return B
 
 
 def _int_tuple(values: Iterable[Any], what: str) -> tuple[int, ...]:
@@ -52,8 +78,7 @@ class ReviewConfig:
     T: int
 
     def __post_init__(self) -> None:
-        if not self.m > 0:
-            raise InvalidDataError(f"mileage must be positive, got {self.m!r}")
+        check_mileage(self.m)
         if self.H < 1:
             raise InvalidDataError(f"stratum count must be at least 1, got {self.H!r}")
         if self.T < 1:
@@ -106,6 +131,9 @@ class Scenario:
                 raise InvalidDataError(
                     f"stratum {i} has {s.tiers} tiers, expected {self.config.T}"
                 )
+            rate = self.config.m * max(s.lambdas)
+            if not rate <= _MAX_POISSON_RATE:
+                raise InvalidDataError(f"stratum {i}: m*lambda={rate!r} exceeds the Poisson limit")
 
     @property
     def theta(self) -> float:
@@ -200,7 +228,8 @@ def validate_observed(stratum: ObservedStratum, tiers: int | None = None) -> Val
     """Check every structural constraint of an observed stratum.
 
     Verifies the shape (``len(e) == len(n) + 1``, optionally against an
-    expected tier count), non-negativity, the per-tier ordering
+    expected tier count), non-negativity, that every count is below 2**53
+    (the estimator works in floats), the per-tier ordering
     ``e_t <= n_t <= e_{t-1}``, that a non-empty pool is always reviewed at
     least once, and that all counts stay zero after an empty pool.
     """
@@ -215,6 +244,8 @@ def validate_observed(stratum: ObservedStratum, tiers: int | None = None) -> Val
         return ValidationResult(False, f"negative escalation count in e={e}")
     if any(v < 0 for v in n):
         return ValidationResult(False, f"negative review count in n={n}")
+    if any(v >= 2**53 for v in e + n):
+        return ValidationResult(False, f"counts must stay below 2**53, got e={e}, n={n}")
     for t in range(1, len(e)):
         prev, reviewed, escalated = e[t - 1], n[t - 1], e[t]
         if prev == 0:
@@ -321,8 +352,7 @@ class IntervalResult:
             raise InvalidDataError(
                 f"unknown interval method {self.method!r}; expected one of {CI_METHODS}"
             )
-        if not 0 < self.level < 1:
-            raise InvalidDataError(f"confidence level must lie in (0, 1), got {self.level!r}")
+        check_level(self.level)
         if not self.lower <= self.upper:
             raise InvalidDataError(
                 f"interval bounds are inverted: ({self.lower!r}, {self.upper!r})"

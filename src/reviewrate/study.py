@@ -27,6 +27,7 @@ import numpy as np
 from . import _batch
 from .distributions import RngStream
 from .model import CI_METHODS, InvalidDataError, ReviewConfig, Scenario, StratumParams
+from .model import check_bootstrap_replicates, check_level
 
 __all__ = [
     "StudySpec",
@@ -99,8 +100,7 @@ class StudySpec:
             raise InvalidDataError(f"grid values must lie in (0, 1], got {self.pi1_grid}")
         if self.replications < 1:
             raise InvalidDataError(f"replications must be at least 1, got {self.replications}")
-        if not 0 < self.level < 1:
-            raise InvalidDataError(f"level must lie in (0, 1), got {self.level!r}")
+        check_level(self.level)
         object.__setattr__(self, "methods", tuple(self.methods))
         for method in self.methods:
             if method not in CI_METHODS:
@@ -109,8 +109,8 @@ class StudySpec:
                 )
         if self.num_scenarios < 1:
             raise InvalidDataError(f"num_scenarios must be at least 1, got {self.num_scenarios}")
-        if "bootstrap" in self.methods and self.B < 100:
-            raise InvalidDataError(f"bootstrap needs at least 100 replicates, got B={self.B}")
+        if "bootstrap" in self.methods:
+            check_bootstrap_replicates(self.B)
 
 
 @dataclass(frozen=True)

@@ -18,3 +18,41 @@ def mp_gamma_quantile(p, shape):
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+def reference_estimate(strata, m):
+    """The point estimator as a plain loop over strata and tiers, in Python floats.
+
+    It is independent of ``reviewrate._batch`` and adds and multiplies in the
+    order the batch engine must match, so tests can require exact agreement.
+    Returns ``(Lambda_hat, lambda_hat, pi_hat, pi_prod, weights, theta_hat)``.
+    """
+    Lambda_hat, lambda_hat, pi_hat = [], [], []
+    for s in strata:
+        e, n = s.e, s.n
+        Lam = [e[0] / m]
+        for t in range(1, len(e)):
+            # The escalation fraction first: e_t/n_t <= 1 keeps Lam non-increasing.
+            Lam.append(0.0 if e[t - 1] == 0 else Lam[t - 1] * (e[t] / n[t - 1]))
+        T = len(Lam) - 1
+        Lambda_hat.append(tuple(Lam))
+        lambda_hat.append(tuple(Lam[t] - Lam[t + 1] for t in range(T)) + (Lam[T],))
+        pi_hat.append(tuple(n[t - 1] / e[t - 1] if e[t - 1] > 0 else 1.0 for t in range(1, len(e))))
+
+    pi_prod = []
+    for pis in pi_hat:
+        prod = 1.0
+        for p in pis:
+            prod *= p
+        pi_prod.append(prod)
+    weights = tuple(1.0 / (m * prod) for prod in pi_prod)
+    theta_hat = sum(lam[-1] for lam in lambda_hat)
+    return tuple(Lambda_hat), tuple(lambda_hat), tuple(pi_hat), tuple(pi_prod), weights, theta_hat
+
+
+def reference_variances(strata, m):
+    """The Wald and weighted-sum-of-Poissons variances of ``reference_estimate``, by loop."""
+    _, lambda_hat, _, pi_prod, weights, _ = reference_estimate(strata, m)
+    wald = sum(lam[-1] / prod for lam, prod in zip(lambda_hat, pi_prod)) / m
+    gamma = sum(w * w * s.e[-1] for w, s in zip(weights, strata))
+    return wald, gamma

@@ -72,6 +72,15 @@ class TestGenerate:
         totals = [sum(rows[t][s] for t in range(s, 4)) for s in range(4)]
         assert totals == e
 
+    @pytest.mark.parametrize("text", [
+        '{"m": Infinity, "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1e300, 2], "pis": [0.5]}]}',
+    ], ids=["infinite-mileage", "rate-above-poisson-limit"])
+    def test_out_of_range_scenario_is_validation_error(self, tmp_path, text):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(text)
+        assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
+
     def test_malformed_json_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": 1.0,\n  "H": }')
@@ -121,6 +130,16 @@ class TestEstimate:
         dpath.write_text(json.dumps(data))
         assert main(["estimate", str(dpath), "--ci", "wald"]) == 2
 
+    @pytest.mark.parametrize("text, ci", [
+        ('{"m": 1.0, "strata": [{"e": [1e20, 1e20], "n": [1e20]}]}', "bootstrap"),
+        ('{"m": 1.0, "strata": [{"e": [1e20, 1e20], "n": [1e20]}]}', "wald"),
+        ('{"m": Infinity, "strata": [{"e": [6, 3], "n": [3]}]}', "all"),
+    ], ids=["count-above-2**53-bootstrap", "count-above-2**53-wald", "infinite-mileage"])
+    def test_out_of_range_dataset_is_validation_error(self, tmp_path, text, ci):
+        dpath = tmp_path / "d.json"
+        dpath.write_text(text)
+        assert main(["estimate", str(dpath), "--ci", ci, "--B", "100"]) == 2
+
     def test_round_trip_with_generate(self, tmp_path, scenario_file):
         out = tmp_path / "data.json"
         assert main(["generate", scenario_file, "--seed", "9", "--out", str(out)]) == 0
@@ -164,6 +183,13 @@ class TestStudy:
     def test_bad_method_is_usage_error(self, tmp_path):
         assert main(["study", "--study", "rare", "--methods", "wald,magic",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_too_few_bootstrap_replicates_is_usage_error(self, tmp_path):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"m": 1.0, "strata": [{"e": [1, 1], "n": [1]}]}))
+        assert main(["estimate", str(data), "--B", "50"]) == 1
+        assert main(["study", "--study", "rare", "--reps", "1", "--methods", "bootstrap",
+                     "--B", "50", "--out", str(tmp_path / "x.csv")]) == 1
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert main(["study", "--study", "rare", "--grid", "0.5,nope",

@@ -22,6 +22,7 @@ from reviewrate import (
 )
 from reviewrate import _batch
 from reviewrate.study import _scenario_arrays
+from helpers import reference_estimate, reference_variances
 
 
 def make_dataset(strata, m=1.0):
@@ -152,21 +153,49 @@ class TestEstimateProperties:
     def test_scalar_and_batch_estimators_agree_exactly(self):
         gen = np.random.default_rng(21)
         root = RngStream(22)
-        for i in range(200):
-            params = StratumParams(
-                lambdas=tuple(gen.uniform(0, 10, size=4)),
-                pis=tuple(gen.uniform(0.05, 1.0, size=3)),
-            )
-            _, obs = generate_stratum(params, 1.0, root.child(i))
-            est = estimate_theta(make_dataset([obs]))
-            e = np.array([obs.e])[:, :, None]
-            n = np.array([obs.n])[:, :, None]
+        for i in range(240):
+            H = 1 + i % 12
+            strata = []
+            for h in range(H):
+                params = StratumParams(
+                    lambdas=tuple(gen.uniform(0, 10, size=4)),
+                    pis=tuple(gen.uniform(0.05, 1.0, size=3)),
+                )
+                strata.append(generate_stratum(params, 1.0, root.child(i, h))[1])
+            m = float(gen.choice([1.0, 0.3, 2.5]))
+            est = estimate_theta(make_dataset(strata, m=m))
+            Lambda, lam, pi, pi_prod, weights, theta = reference_estimate(strata, m)
+            assert est.theta_hat == theta
+            assert est.Lambda_hat == Lambda
+            assert est.lambda_hat == lam
+            assert est.pi_hat == pi
+            assert est.pi_prod == pi_prod
+            assert est.weights == weights
+            for h, s in enumerate(strata):
+                assert estimate_Lambda(s, m) == Lambda[h]
+                assert estimate_lambda(s, m) == lam[h]
+                assert estimate_pi(s) == pi[h]
+
+    def test_lane_results_do_not_depend_on_lane_count(self):
+        # With 12 strata, numpy's axis-0 sum adds a single lane pairwise but many
+        # lanes in order; the engine must give every lane the reference loop's bits.
+        params = np.random.default_rng(23)
+        lam = params.uniform(0, 10, size=(12, 4))
+        pis = params.uniform(0.1, 1.0, size=(12, 3))
+        gen = RngStream(24).generator
+        for _ in range(50):
+            e, n = _batch.generate_counts(lam, pis, 1.0, 7, gen)
             batch = _batch.estimate_counts(e, n, 1.0)
-            assert batch.theta[0] == est.theta_hat
-            assert tuple(batch.Lambda[0, :, 0]) == est.Lambda_hat[0]
-            assert tuple(batch.lam[0, :, 0]) == est.lambda_hat[0]
-            assert tuple(batch.pi_tier[0, :, 0]) == est.pi_hat[0]
-            assert batch.weights[0, 0] == est.weights[0]
+            for r in range(7):
+                one = _batch.estimate_counts(e[:, :, r : r + 1], n[:, :, r : r + 1], 1.0)
+                strata = [
+                    ObservedStratum(e=tuple(e[h, :, r]), n=tuple(n[h, :, r])) for h in range(12)
+                ]
+                theta = reference_estimate(strata, 1.0)[-1]
+                wald_var, gamma_var = reference_variances(strata, 1.0)
+                assert one.theta[0] == batch.theta[r] == theta
+                assert one.wald_var[0] == batch.wald_var[r] == wald_var
+                assert one.gamma_var[0] == batch.gamma_var[r] == gamma_var
 
     def test_unbiasedness_smoke(self):
         # a reduced-size version of the acceptance check

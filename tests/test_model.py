@@ -23,6 +23,7 @@ class TestReviewConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(m=0.0, H=1, T=1),
         dict(m=-1.0, H=1, T=1),
+        dict(m=float("inf"), H=1, T=1),
         dict(m=1.0, H=0, T=1),
         dict(m=1.0, H=1, T=0),
     ])
@@ -71,6 +72,12 @@ class TestScenario:
     def test_tier_count_must_match(self):
         with pytest.raises(InvalidDataError):
             Scenario(config=ReviewConfig(m=1, H=1, T=3), strata=(self._params(),))
+
+    def test_rate_beyond_poisson_sampler_rejected(self):
+        huge = StratumParams(lambdas=(1e10, 2.0, 3.0), pis=(0.5, 0.5))
+        Scenario(config=ReviewConfig(m=1e8, H=1, T=2), strata=(huge,))
+        with pytest.raises(InvalidDataError):
+            Scenario(config=ReviewConfig(m=1e9, H=1, T=2), strata=(huge,))
 
     def test_json_round_trip(self):
         scen = Scenario(config=ReviewConfig(m=0.5, H=2, T=2), strata=(self._params(),) * 2)
@@ -128,6 +135,12 @@ class TestValidateObserved:
     def test_counts_after_termination_must_be_zero(self):
         assert not validate_observed(ObservedStratum(e=(5, 0, 2), n=(2, 1)))
         assert not validate_observed(ObservedStratum(e=(5, 0, 0), n=(2, 1)))
+
+    def test_counts_must_be_exact_as_floats(self):
+        assert validate_observed(ObservedStratum(e=(2**53 - 1, 1), n=(1,)))
+        result = validate_observed(ObservedStratum(e=(2**53, 1), n=(1,)))
+        assert not result
+        assert "2**53" in result.reason
 
     def test_negative_counts(self):
         assert not validate_observed(ObservedStratum(e=(5, -1), n=(3,)))
