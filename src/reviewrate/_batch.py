@@ -4,8 +4,14 @@ Replicates the per-stratum review simulation and the point estimator across
 many independent replications at once, with every replication occupying one
 lane of the trailing array axis. The scalar estimator and intervals are
 one-lane views of this module, and a lane's arithmetic does not depend on the
-lane count. The simulation differs from the scalar generator only in its
-random-draw layout, with each sampler call drawing one value per lane.
+lane count.
+
+The simulation draws only the observable counts (e, n), which are all the
+estimator and the intervals read, and never builds the scalar generator's
+latent class table: by the urn-composition identity each tier's rejections
+are one binomial draw on its review count (see ``generate_counts``). Its
+counts are equal in law to the scalar generator's observed counts, from a
+different random-draw layout.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ def hypergeometric_split(
     """Split ``n_draw[r]`` without-replacement draws across the classes ``counts[:, r]``.
 
     ``counts`` has shape (K, R); one univariate hypergeometric call per class
-    covers all R lanes. Column sums of the result equal ``n_draw``.
+    covers all R lanes. Column sums of the result equal ``n_draw``. No code in
+    the package calls it: it is kept as the vectorized reference split that
+    the urn-composition check of the acceptance suite draws from. numpy's
+    hypergeometric needs every class count and pool remainder below 1e9.
     """
     K = counts.shape[0]
     out = np.zeros_like(counts)
@@ -56,35 +65,39 @@ def generate_counts(
     size: int,
     gen: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate ``size`` independent replications of every stratum.
+    """Simulate ``size`` independent replications of every stratum's observed counts.
 
     ``lambdas`` has shape (H, T+1) and ``pis`` shape (H, T). Returns integer
-    arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size).
-    Strata are processed in order, and within a stratum the draw order is the
-    class-count Poisson block followed per tier by one binomial call and one
-    hypergeometric split.
+    arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size),
+    equal in law to the observed counts of the latent-table generator.
+
+    Only the observables are drawn. Given its size, a pool's class mix is
+    multinomial with the class rates as weights, and a uniform review sample
+    keeps that law, so the events a tier rejects are binomial in its review
+    count. Per stratum: ``e_0 ~ Poisson(m * sum_k lambda_k)``, then per tier
+    ``n_t = max(1, Bin(e_{t-1}, pi_t))`` on a non-empty pool (else 0) and
+    ``e_t = n_t - Bin(n_t, lambda_{t-1} / sum_{k>=t-1} lambda_k)``, with the
+    share taken as 0 where that tail sum is 0. Draw order: one Poisson call
+    for all strata, then per tier one binomial call for the review counts and
+    one for the rejections, each drawing an (H, size) block.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     pis = np.asarray(pis, dtype=float)
     H, width = lambdas.shape
     T = width - 1
-    e = np.zeros((H, T + 1, size), dtype=np.int64)
-    n = np.zeros((H, T, size), dtype=np.int64)
+    # tail[:, t]: total rate of the classes still present in escalation set t.
+    tail = np.cumsum(lambdas[:, ::-1], axis=1)[:, ::-1]
+    reject = np.zeros((H, T))
+    np.divide(lambdas[:, :T], tail[:, :T], out=reject, where=tail[:, :T] > 0)
 
-    for h in range(H):
-        col = gen.poisson(lam=m * lambdas[h][:, None], size=(T + 1, size))
-        e[h, 0] = col.sum(axis=0)
-        for t in range(1, T + 1):
-            pool = e[h, t - 1]
-            alive = pool > 0
-            b = gen.binomial(pool, pis[h, t - 1])
-            n_t = np.where(alive, np.maximum(b, 1), 0)
-            n[h, t - 1] = n_t
-            drawn = hypergeometric_split(col[t - 1 :], n_t, gen)
-            col = np.zeros_like(col)
-            col[t:] = drawn[1:]
-            # drawn[0] holds the events this tier rejects.
-            e[h, t] = n_t - drawn[0]
+    e = np.empty((H, T + 1, size), dtype=np.int64)
+    n = np.empty((H, T, size), dtype=np.int64)
+    e[:, 0] = gen.poisson(m * tail[:, :1], size=(H, size))
+    for t in range(1, T + 1):
+        pool = e[:, t - 1]
+        reviewed = np.where(pool > 0, np.maximum(gen.binomial(pool, pis[:, t - 1 : t]), 1), 0)
+        n[:, t - 1] = reviewed
+        e[:, t] = reviewed - gen.binomial(reviewed, reject[:, t - 1 : t])
     return e, n
 
 

@@ -45,14 +45,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("REVIEWRATE_SEED")
-    if raw is None:
-        return 0
+def _stream(args: argparse.Namespace) -> RngStream:
+    """The master stream of ``--seed``, else of ``REVIEWRATE_SEED``, else of seed 0.
+
+    A seed outside the unsigned 64-bit range is a usage error, wherever it came from.
+    """
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("REVIEWRATE_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise UsageError(f"REVIEWRATE_SEED must be an integer, got {raw!r}") from exc
     try:
-        return int(raw)
+        return RngStream(seed)
     except ValueError as exc:
-        raise UsageError(f"REVIEWRATE_SEED must be an integer, got {raw!r}") from exc
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed}") from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -129,8 +137,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = Scenario.from_dict(_load_json(args.scenario))
-    seed = args.seed if args.seed is not None else _default_seed()
-    latents, dataset = generate_dataset(scenario, RngStream(seed))
+    latents, dataset = generate_dataset(scenario, _stream(args))
     _atomic_write(args.out, json.dumps(dataset.to_dict(), indent=2) + "\n")
     if args.latent:
         doc = {"strata": [{"x": [list(row) for row in latent.x]} for latent in latents]}
@@ -151,8 +158,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     intervals = []
     for name in requested:
         if name == "bootstrap":
-            seed = args.seed if args.seed is not None else _default_seed()
-            intervals.append(ci_bootstrap(dataset, level, args.B, RngStream(seed)))
+            intervals.append(ci_bootstrap(dataset, level, args.B, _stream(args)))
         elif name == "wald":
             intervals.append(ci_wald(estimate, m, level))
         elif name == "gamma":
@@ -192,7 +198,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         methods = tuple(_CLI_METHODS[name.strip()] for name in args.methods.split(","))
     except KeyError as exc:
         raise UsageError(f"--methods entries must be bootstrap, wald or gamma, got {exc}") from exc
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _stream(args).master_seed
     with _flag_values():
         spec = StudySpec(
             source=_CLI_SOURCES[args.study],

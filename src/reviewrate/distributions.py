@@ -1,9 +1,13 @@
 """Seeded random streams plus the exact samplers and quantile functions the model needs.
 
 Sampling is delegated to :class:`numpy.random.Generator`, whose Poisson,
-binomial and hypergeometric samplers are exact for all parameter values (no
-normal approximation at large rates). Quantiles go through ``scipy.special``
-rather than ``scipy.stats`` to keep per-call overhead low in tight loops.
+binomial and hypergeometric samplers are exact (no normal approximation at
+large rates) within numpy's parameter limits: the Poisson rate must stay
+below about 9.2e18, and the hypergeometric needs both the drawn class and
+the rest of the pool below 1e9 items, so the latent-table generator cannot
+split pools of that size. Quantiles go
+through ``scipy.special`` rather than ``scipy.stats`` to keep per-call
+overhead low in tight loops.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ sampling individual events and never materializes them.
 Draw order per stratum is fixed so results are bit-reproducible: the T+1
 Poisson draws in class order, then per tier one binomial draw followed by one
 multivariate hypergeometric draw.
+
+This is the latent-table reference behind ``generate`` and its ``--latent``
+output. Studies and the bootstrap use the batch sampler in ``_batch``, which
+draws only the observed counts, from the same law.
 """
 
 from __future__ import annotations

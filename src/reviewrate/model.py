@@ -32,6 +32,9 @@ CI_METHODS = ("bootstrap", "wald", "gamma_wsip")
 # numpy's Poisson sampler rejects rates above this value, its POISSON_LAM_MAX.
 _MAX_POISSON_RATE = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
+# What a missing key or a value of the wrong type or range raises on conversion.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 class InvalidDataError(ValueError):
     """Raised when observed data or a scenario violates a structural constraint."""
@@ -46,9 +49,11 @@ def check_level(level: float) -> float:
 
 
 def check_mileage(m: float) -> None:
-    """Raise unless the mileage is positive and finite."""
-    if not (m > 0 and math.isfinite(m)):
-        raise InvalidDataError(f"mileage must be positive and finite, got {m!r}")
+    """Raise unless the mileage is positive and finite, and so is its reciprocal."""
+    if not (m > 0 and math.isfinite(m) and math.isfinite(1.0 / m)):
+        raise InvalidDataError(
+            f"mileage must be positive and finite with a finite reciprocal, got {m!r}"
+        )
 
 
 def check_bootstrap_replicates(B: int) -> int:
@@ -62,7 +67,10 @@ def check_bootstrap_replicates(B: int) -> int:
 def _int_tuple(values: Iterable[Any], what: str) -> tuple[int, ...]:
     out = []
     for v in values:
-        i = int(v)
+        try:
+            i = int(v)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidDataError(f"{what} must be integers, got {v!r}") from exc
         if i != v:
             raise InvalidDataError(f"{what} must be integers, got {v!r}")
         out.append(i)
@@ -158,7 +166,9 @@ class Scenario:
                 StratumParams(lambdas=tuple(s["lambdas"]), pis=tuple(s["pis"]))
                 for s in data["strata"]
             )
-        except (KeyError, TypeError) as exc:
+        except InvalidDataError:
+            raise
+        except _MALFORMED as exc:
             raise InvalidDataError(f"malformed scenario document: {exc}") from exc
         return cls(config=config, strata=strata)
 
@@ -304,7 +314,9 @@ class Dataset:
             strata = tuple(
                 ObservedStratum(e=tuple(s["e"]), n=tuple(s["n"])) for s in data["strata"]
             )
-        except (KeyError, TypeError) as exc:
+        except InvalidDataError:
+            raise
+        except _MALFORMED as exc:
             raise InvalidDataError(f"malformed dataset document: {exc}") from exc
         if not strata:
             raise InvalidDataError("dataset must contain at least one stratum")

@@ -75,7 +75,8 @@ class TestGenerate:
     @pytest.mark.parametrize("text", [
         '{"m": Infinity, "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
         '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1e300, 2], "pis": [0.5]}]}',
-    ], ids=["infinite-mileage", "rate-above-poisson-limit"])
+        '{"m": 1.0, "H": "x", "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+    ], ids=["infinite-mileage", "rate-above-poisson-limit", "non-integer-stratum-count"])
     def test_out_of_range_scenario_is_validation_error(self, tmp_path, text):
         spath = tmp_path / "scenario.json"
         spath.write_text(text)
@@ -134,11 +135,27 @@ class TestEstimate:
         ('{"m": 1.0, "strata": [{"e": [1e20, 1e20], "n": [1e20]}]}', "bootstrap"),
         ('{"m": 1.0, "strata": [{"e": [1e20, 1e20], "n": [1e20]}]}', "wald"),
         ('{"m": Infinity, "strata": [{"e": [6, 3], "n": [3]}]}', "all"),
-    ], ids=["count-above-2**53-bootstrap", "count-above-2**53-wald", "infinite-mileage"])
+        ('{"m": 1.0, "strata": [{"e": [NaN, 1], "n": [1]}]}', "bootstrap"),
+        ('{"m": 1.0, "strata": [{"e": [Infinity, 1], "n": [1]}]}', "bootstrap"),
+        ('{"m": 1.0, "strata": [{"e": ["a", 1], "n": [1]}]}', "bootstrap"),
+        ('{"m": 1e-320, "strata": [{"e": [6, 3], "n": [3]}]}', "bootstrap"),
+    ], ids=["count-above-2**53-bootstrap", "count-above-2**53-wald", "infinite-mileage",
+            "nan-count", "infinite-count", "string-count", "subnormal-mileage-bootstrap"])
     def test_out_of_range_dataset_is_validation_error(self, tmp_path, text, ci):
         dpath = tmp_path / "d.json"
         dpath.write_text(text)
         assert main(["estimate", str(dpath), "--ci", ci, "--B", "100"]) == 2
+
+    @pytest.mark.parametrize("e0", [3 * 10**9, 2**53 - 1], ids=["3e9", "2**53-1"])
+    def test_bootstrap_on_pools_beyond_the_hypergeometric_limit(self, tmp_path, e0):
+        data = {"m": 1.0, "strata": [{"e": [e0, e0 // 4], "n": [e0 // 2]}]}
+        dpath = tmp_path / "d.json"
+        dpath.write_text(json.dumps(data))
+        report = tmp_path / "report.json"
+        assert main(["estimate", str(dpath), "--ci", "bootstrap", "--B", "100",
+                     "--seed", "1", "--json", str(report)]) == 0
+        (iv,) = json.loads(report.read_text())["intervals"]
+        assert 0.0 <= iv["lower"] <= iv["upper"]
 
     def test_round_trip_with_generate(self, tmp_path, scenario_file):
         out = tmp_path / "data.json"
@@ -208,3 +225,19 @@ class TestSeedEnvironment:
     def test_bad_env_seed_is_usage_error(self, tmp_path, scenario_file, monkeypatch):
         monkeypatch.setenv("REVIEWRATE_SEED", "abc")
         assert main(["generate", scenario_file, "--out", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)], ids=["negative", "2**64"])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, scenario_file, monkeypatch, seed):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"m": 1.0, "strata": [{"e": [6, 3], "n": [3]}]}))
+        commands = [
+            ["generate", scenario_file, "--out", str(tmp_path / "x.json")],
+            ["estimate", str(data), "--ci", "bootstrap", "--B", "100"],
+            ["study", "--study", "rare", "--reps", "1", "--grid", "0.5", "--methods", "wald",
+             "--out", str(tmp_path / "x.csv")],
+        ]
+        for args in commands:
+            assert main(args + ["--seed", seed]) == 1
+            monkeypatch.setenv("REVIEWRATE_SEED", seed)
+            assert main(args) == 1
+            monkeypatch.delenv("REVIEWRATE_SEED")

@@ -1,9 +1,11 @@
 """Tests for the tiered review simulator."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from reviewrate import (
     RngStream,
@@ -13,6 +15,7 @@ from reviewrate import (
     generate_dataset,
     generate_stratum,
     scenario_common,
+    scenario_rare,
     validate_observed,
 )
 from reviewrate import _batch
@@ -136,19 +139,54 @@ class TestBatchEngineAgreesInLaw:
         lam, pis = _scenario_arrays(scen)
         reps = 2 * 10**4
 
-        e_batch, _ = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(4).generator)
-        batch_means = e_batch.mean(axis=2)
+        e_batch, n_batch = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(4).generator)
+        batch_means = {"e": e_batch.mean(axis=2), "n": n_batch.mean(axis=2)}
 
         root = RngStream(5)
-        scalar_sums = np.zeros((5, 4))
+        scalar_sums = {"e": np.zeros((5, 4)), "n": np.zeros((5, 3))}
         for i in range(reps):
             _, ds = generate_dataset(scen, root.child(i))
-            scalar_sums += np.array([s.e for s in ds.strata])
-        scalar_means = scalar_sums / reps
+            scalar_sums["e"] += np.array([s.e for s in ds.strata])
+            scalar_sums["n"] += np.array([s.n for s in ds.strata])
 
         # each entry is an MC mean of the same law from both engines;
-        # compare with a combined-error budget of 4 standard errors
-        for h in range(5):
-            for t in range(4):
-                se = math.sqrt(2 * max(batch_means[h, t], 1e-9) / reps)
-                assert abs(batch_means[h, t] - scalar_means[h, t]) < 4 * se
+        # compare with a combined-error budget of 4 standard errors, taking
+        # n_t's from the pool e_{t-1} it is drawn from (same array index)
+        for key, batch in batch_means.items():
+            scalar = scalar_sums[key] / reps
+            for (h, t), value in np.ndenumerate(batch):
+                se = math.sqrt(2 * max(batch_means["e"][h, t], 1e-9) / reps)
+                assert abs(value - scalar[h, t]) < 4 * se, (key, h, t)
+
+    def test_observable_tuples_match_scalar_engine(self):
+        # pi1=0.1 gives many forced single reviews and early terminations.
+        # Two-sample chi-square over the cells (stratum, e_0..e_T, n_1..n_T),
+        # with every cell expected below 5 per engine lumped into one.
+        scen = scenario_rare(0.1)
+        lam, pis = _scenario_arrays(scen)
+        reps = 2 * 10**4
+
+        e, n = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(40).generator)
+        batch = Counter(
+            (h,) + tuple(e[h, :, r]) + tuple(n[h, :, r]) for h in range(5) for r in range(reps)
+        )
+        root = RngStream(41)
+        scalar = Counter()
+        for i in range(reps):
+            _, ds = generate_dataset(scen, root.child(i))
+            scalar.update((h,) + s.e + s.n for h, s in enumerate(ds.strata))
+
+        rows = [[0, 0]]
+        for cell in batch.keys() | scalar.keys():
+            a, b = batch[cell], scalar[cell]
+            if a + b >= 10:
+                rows.append([a, b])
+            else:
+                rows[0][0] += a
+                rows[0][1] += b
+        table = np.array(rows, dtype=float)
+        assert len(table) > 100
+        total = table.sum(axis=1)
+        chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
+        pvalue = stats.chi2.sf(chi2, df=len(table) - 1)
+        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {len(table)} cells, p={pvalue:.2e}"

@@ -26,6 +26,7 @@ class TestReviewConfig:
         dict(m=float("inf"), H=1, T=1),
         dict(m=1.0, H=0, T=1),
         dict(m=1.0, H=1, T=0),
+        dict(m=1e-320, H=1, T=1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidDataError):
