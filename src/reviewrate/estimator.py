@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _batch
 from .model import Dataset, InvalidDataError, ObservedStratum, RateEstimate
-from .model import check_mileage, validate_observed
+from .model import check_estimable, check_mileage, validate_observed
 
 __all__ = [
     "estimate_Lambda",
@@ -52,6 +52,7 @@ def observed_counts(strata: Sequence[ObservedStratum]) -> tuple[np.ndarray, np.n
 def _one_lane(strata: Sequence[ObservedStratum], m: float) -> _batch.BatchEstimate:
     check_mileage(m)
     e, n = observed_counts(strata)
+    check_estimable(strata, m)
     return _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
 
 

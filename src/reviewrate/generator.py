@@ -21,6 +21,7 @@ from __future__ import annotations
 from .distributions import RngStream, sample_binomial, sample_mv_hypergeometric, sample_poisson
 from .model import (
     Dataset,
+    InvalidDataError,
     LatentTable,
     ObservedStratum,
     Scenario,
@@ -30,6 +31,9 @@ from .model import (
 )
 
 __all__ = ["generate_stratum", "generate_dataset"]
+
+# numpy's hypergeometric needs both the drawn class and the rest of the pool below this.
+_SPLIT_LIMIT = 10**9
 
 
 def generate_stratum(
@@ -41,6 +45,8 @@ def generate_stratum(
     non-empty pool is always reviewed at least once (the binomial sample size
     is clamped up to 1, with the forced single review drawn uniformly from
     the pool). An empty pool terminates the stratum with zero-filled counts.
+    A pool whose rejected class or remaining classes reach 1e9 events cannot
+    be split and raises :class:`InvalidDataError`.
     """
     check_mileage(m)
     T = params.tiers
@@ -60,6 +66,12 @@ def generate_stratum(
         b = sample_binomial(e[t - 1], params.pis[t - 1], rng)
         n[t - 1] = max(1, b)
         pool = [x[k][t - 1] for k in range(t - 1, T + 1)]
+        if max(pool[0], e[t - 1] - pool[0]) >= _SPLIT_LIMIT:
+            raise InvalidDataError(
+                f"tier {t} pool of {e[t - 1]} events is beyond the latent-table generator's "
+                f"limit: its hypergeometric split needs the rejected class and the rest of the "
+                f"pool each below {_SPLIT_LIMIT:,} events"
+            )
         drawn = sample_mv_hypergeometric(pool, n[t - 1], rng)
         # drawn[0] is the count of events the tier rejects; the rest escalate.
         for offset, k in enumerate(range(t, T + 1), start=1):

@@ -56,6 +56,38 @@ def check_mileage(m: float) -> None:
         )
 
 
+def check_estimable(strata: Iterable[ObservedStratum], m: float) -> None:
+    """Raise unless the estimates and intervals of valid counts at mileage ``m`` stay finite.
+
+    Per stratum, ``e_0 / m`` is the first survival-rate estimate and bounds
+    the others, ``Lambda_T`` is the last, and ``w = prod_t(e_{t-1} / n_t) / m``
+    is the inverse-sampling weight. Summed over strata, ``e_0 / m`` must be
+    finite, and so must the gamma upper bound's moments
+    ``(sum Lambda_T + max w)^2`` and ``sum w^2 e_T + (max w)^2``. They bound
+    every other quantity the intervals compute, including the Wald variance,
+    which equals ``sum w^2 e_T``. A mileage that is finite with a finite
+    reciprocal can still overflow them.
+    """
+    rate = theta = spread = w_max = 0.0
+    for s in strata:
+        lam_0 = s.e[0] / m
+        lam_T, w = lam_0, 1.0 / m
+        for pool, reviewed, escalated in zip(s.e, s.n, s.e[1:]):
+            if pool > 0:
+                lam_T *= escalated / reviewed
+                w *= pool / reviewed
+        rate += lam_0
+        theta += lam_T
+        spread += w * w * s.e[-1]
+        w_max = max(w_max, w)
+    mean = theta + w_max
+    if not all(map(math.isfinite, (rate, mean * mean, spread + w_max * w_max))):
+        raise InvalidDataError(
+            f"mileage m={m!r} is too small for these counts: the rate estimates, "
+            "their weights or the interval moments overflow"
+        )
+
+
 def check_bootstrap_replicates(B: int) -> int:
     """Return ``B`` as an int, or raise if it is too few bootstrap replicates."""
     B = int(B)

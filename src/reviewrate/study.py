@@ -11,16 +11,25 @@ observed surviving events.
 
 Replications are vectorized: each (scenario, grid point) batch-generates all
 its replications on one child stream, and each replication's bootstrap runs
-on its own sub-stream. Output ordering is canonical (scenario, grid point,
-method), so a sweep is a pure function of its spec.
+on its own sub-stream. Cells run concurrently on a thread pool with one
+worker per usable CPU (numpy's samplers and scipy's quantile loops release
+the GIL). A cell reads only its own stream subtree and rows are merged in
+canonical order (scenario, grid point, method), so a sweep is a pure
+function of its spec whatever the worker count or scheduling. On an
+exception or Ctrl-C, cells already running finish and cells not yet started
+never start.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,47 +279,69 @@ def _coverage_rows(
     return rows
 
 
-def run_sweep(spec: StudySpec) -> list[CoverageRow]:
-    """Run a full coverage study and return its rows in canonical order.
+# Cells submitted but not yet merged, per worker: enough to keep every worker
+# busy while the oldest cell is awaited, without queueing a whole study.
+_CELLS_IN_FLIGHT_PER_WORKER = 2
 
-    Fixed studies iterate the first-tier sampling grid; the comprehensive
-    study iterates freshly drawn scenarios. Data streams live under one
-    branch of the master stream and scenario-parameter draws under another,
-    so the two can never collide.
+_Cell = tuple[Callable[[], Scenario], str, float | None, RngStream]
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _cells(spec: StudySpec) -> Iterator[_Cell]:
+    """Each cell's scenario maker, id, grid point and data stream, in canonical order.
+
+    Data streams live under one branch of the master stream and
+    scenario-parameter draws under another, so the two can never collide.
     """
     root = RngStream(spec.master_seed)
     data_root = root.child(0)
     param_root = root.child(1)
-
-    rows: list[CoverageRow] = []
     if spec.source == "comprehensive":
         for si in range(spec.num_scenarios):
-            scenario = scenario_comprehensive(param_root.child(si))
-            rows.extend(
-                _coverage_rows(
-                    scenario,
-                    scenario.theta,
-                    scenario_id=f"comprehensive-{si}",
-                    pi1=None,
-                    spec=spec,
-                    cell_stream=data_root.child(si, 0),
-                )
-            )
+            make = partial(scenario_comprehensive, param_root.child(si))
+            yield make, f"comprehensive-{si}", None, data_root.child(si, 0)
     else:
-        make = scenario_common if spec.source == "fixed-common" else scenario_rare
+        fixed = scenario_common if spec.source == "fixed-common" else scenario_rare
         scenario_id = "common" if spec.source == "fixed-common" else "rare"
         for gi, pi1 in enumerate(spec.pi1_grid):
-            scenario = make(pi1)
-            rows.extend(
-                _coverage_rows(
-                    scenario,
-                    scenario.theta,
-                    scenario_id=scenario_id,
-                    pi1=pi1,
-                    spec=spec,
-                    cell_stream=data_root.child(0, gi),
-                )
-            )
+            yield partial(fixed, pi1), scenario_id, pi1, data_root.child(0, gi)
+
+
+def _run_cell(spec: StudySpec, cell: _Cell) -> list[CoverageRow]:
+    make, scenario_id, pi1, cell_stream = cell
+    scenario = make()
+    return _coverage_rows(scenario, scenario.theta, scenario_id, pi1, spec, cell_stream)
+
+
+def run_sweep(spec: StudySpec) -> list[CoverageRow]:
+    """Run a full coverage study and return its rows in canonical order.
+
+    Fixed studies iterate the first-tier sampling grid; the comprehensive
+    study iterates freshly drawn scenarios. Cells run on a thread pool of
+    ``min(usable CPUs, cells)`` workers, with at most a small multiple of
+    the worker count submitted at a time; the rows do not depend on either.
+    """
+    n_cells = spec.num_scenarios if spec.source == "comprehensive" else len(spec.pi1_grid)
+    workers = max(1, min(_worker_count(), n_cells))
+    rows: list[CoverageRow] = []
+    in_flight: deque = deque()
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="reviewrate-cell")
+    try:
+        for cell in _cells(spec):
+            if len(in_flight) == _CELLS_IN_FLIGHT_PER_WORKER * workers:
+                rows.extend(in_flight.popleft().result())
+            in_flight.append(pool.submit(_run_cell, spec, cell))
+        while in_flight:
+            rows.extend(in_flight.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows
 
 

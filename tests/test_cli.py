@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
@@ -82,6 +83,14 @@ class TestGenerate:
         spath.write_text(text)
         assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_class_count_beyond_the_latent_split_limit_is_validation_error(self, tmp_path, capsys):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(
+            {"m": 1, "H": 1, "T": 2, "strata": [{"lambdas": [1e12, 2, 3], "pis": [0.5, 0.5]}]}
+        ))
+        assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
+        assert "latent-table generator's limit" in capsys.readouterr().err
+
     def test_malformed_json_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": 1.0,\n  "H": }')
@@ -145,6 +154,22 @@ class TestEstimate:
         dpath = tmp_path / "d.json"
         dpath.write_text(text)
         assert main(["estimate", str(dpath), "--ci", ci, "--B", "100"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 1e-300, "strata": [{"e": [1000000000, 10], "n": [20]}]}',
+        '{"m": 1e-300, "strata": [{"e": [10, 0], "n": [1]}]}',
+        '{"m": 1e-140, "strata": [{"e": [1000000000000000, 500000000000000], '
+        '"n": [1000000000000000]}]}',
+    ], ids=["rate-overflow", "weight-overflow", "squared-rate-overflow"])
+    @pytest.mark.parametrize("ci", ["none", "wald", "gamma", "bootstrap", "all"])
+    def test_mileage_too_small_for_the_counts_is_validation_error(self, tmp_path, text, ci):
+        dpath = tmp_path / "d.json"
+        dpath.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", str(dpath), "--ci", ci, "--B", "100"])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("e0", [3 * 10**9, 2**53 - 1], ids=["3e9", "2**53-1"])
     def test_bootstrap_on_pools_beyond_the_hypergeometric_limit(self, tmp_path, e0):

@@ -1,10 +1,15 @@
 """Tests for the fixed and randomized coverage studies."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from reviewrate import study
 from reviewrate import (
     CoverageRow,
     InvalidDataError,
@@ -188,6 +193,80 @@ class TestRunSweep:
         )
         row = run_sweep(spec)[0]
         assert row.coverage <= 0.75
+
+
+POOL_SPECS = {
+    "fixed-common-bootstrap": StudySpec(
+        source="fixed-common", replications=4, B=100, master_seed=12,
+    ),
+    "comprehensive": StudySpec(
+        source="comprehensive", replications=200, num_scenarios=7,
+        methods=("wald", "gamma_wsip"), master_seed=5,
+    ),
+}
+
+
+class TestCellPool:
+    @pytest.mark.parametrize("name", POOL_SPECS)
+    def test_csv_does_not_depend_on_worker_count(self, monkeypatch, name):
+        threads = set()
+        coverage_rows = study._coverage_rows
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return coverage_rows(*args, **kwargs)
+
+        monkeypatch.setattr(study, "_coverage_rows", recording)
+        texts = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(study, "_worker_count", lambda workers=workers: workers)
+            texts.append(rows_to_csv(run_sweep(POOL_SPECS[name])))
+        assert texts[0] == texts[1] == texts[2]
+        assert threads and threading.get_ident() not in threads
+
+    def test_concurrent_callers_match_serial(self, monkeypatch):
+        specs = list(POOL_SPECS.values())
+        monkeypatch.setattr(study, "_worker_count", lambda: 1)
+        serial = [rows_to_csv(run_sweep(spec)) for spec in specs]
+        monkeypatch.setattr(study, "_worker_count", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each cell
+        try:
+            with ThreadPoolExecutor(max_workers=2) as callers:
+                calls = callers.map(lambda spec: rows_to_csv(run_sweep(spec)), specs, timeout=300)
+                threaded = list(calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("error", [RuntimeError("cell failed"), KeyboardInterrupt()],
+                             ids=["exception", "keyboard-interrupt"])
+    def test_failing_cell_stops_the_sweep(self, monkeypatch, error):
+        workers, failing, cells = 2, 3, 20
+        window = study._CELLS_IN_FLIGHT_PER_WORKER * workers
+        started = []
+        lock = threading.Lock()
+
+        def cell(scenario, theta, scenario_id, pi1, spec, cell_stream):
+            with lock:
+                started.append(cell_stream.path[-1])
+            if cell_stream.path[-1] == failing:
+                time.sleep(0.05)  # time enough for the other worker to drain its queue
+                raise error
+            return []
+
+        monkeypatch.setattr(study, "_worker_count", lambda: workers)
+        monkeypatch.setattr(study, "_coverage_rows", cell)
+        grid = tuple(round(0.05 * k, 2) for k in range(1, cells + 1))
+        spec = StudySpec(source="fixed-common", pi1_grid=grid, replications=1, methods=("wald",))
+        with pytest.raises(type(error)) as excinfo:
+            run_sweep(spec)
+        assert excinfo.value is error
+        # When cell `failing` is awaited, only the cells before it and one window
+        # after it have been submitted; the rest never start.
+        assert failing in started
+        assert len(started) <= failing + window < cells
+        assert max(started) < failing + window
 
 
 class TestCsv:
