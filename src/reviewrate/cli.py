@@ -1,10 +1,11 @@
 """Command-line interface: generate datasets, estimate rates, run coverage studies.
 
-Exit codes: 0 success, 1 usage error (any bad flag value), 2 validation error
-(malformed files or inconsistent data), 3 internal error. All output files are
-written atomically (temp file in the target directory, then rename), and every
-command is deterministic given its flags and seed. The default seed comes
-from the ``REVIEWRATE_SEED`` environment variable when set, else 0.
+Exit codes: 0 success, 1 usage error (any bad flag value, including a
+replicate count too large for memory), 2 validation error (malformed files or
+inconsistent data), 3 internal error. All output files are written atomically
+(temp file in the target directory, then rename), and every command is
+deterministic given its flags and seed. The default seed comes from the
+``REVIEWRATE_SEED`` environment variable when set, else 0.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidDataError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
+    except MemoryError as exc:  # the replicate counts are the only flags that size arrays
+        flags = "--B" if args.command == "estimate" else "--reps or --B"
+        print(f"usage error: {flags} too large for memory: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return _EXIT_INTERNAL

@@ -38,22 +38,21 @@ __all__ = [
 ]
 
 
-def observed_counts(strata: Sequence[ObservedStratum]) -> tuple[np.ndarray, np.ndarray]:
-    """Validate every stratum and stack the counts into (H, T+1) and (H, T) int arrays."""
+def fit_observed(
+    strata: Sequence[ObservedStratum], m: float
+) -> tuple[np.ndarray, np.ndarray, _batch.BatchEstimate]:
+    """Validate the counts and fit them as one lane: ``(e, n, fit)``, e and n stacked as ints."""
+    check_mileage(m)
     for h, stratum in enumerate(strata):
         check = validate_observed(stratum)
         if not check:
             raise InvalidDataError(f"invalid stratum {h}: {check.reason}")
     e = np.array([s.e for s in strata], dtype=np.int64)
     n = np.array([s.n for s in strata], dtype=np.int64)
-    return e, n
-
-
-def _one_lane(strata: Sequence[ObservedStratum], m: float) -> _batch.BatchEstimate:
-    check_mileage(m)
-    e, n = observed_counts(strata)
-    check_estimable(strata, m)
-    return _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
+    with np.errstate(all="ignore"):  # check_estimable rejects what the errors produce
+        fit = _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
+    check_estimable(fit, m)
+    return e, n, fit
 
 
 def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -66,12 +65,12 @@ def estimate_Lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     The sequence is non-increasing; division by a review count only happens
     where the incoming pool was non-empty, which guarantees it is at least 1.
     """
-    return _rows(_one_lane((stratum,), m).Lambda)[0]
+    return _rows(fit_observed((stratum,), m)[2].Lambda)[0]
 
 
 def estimate_lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     """Estimated per-class rates: differences of consecutive survival rates."""
-    return _rows(_one_lane((stratum,), m).lam)[0]
+    return _rows(fit_observed((stratum,), m)[2].lam)[0]
 
 
 def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
@@ -81,12 +80,12 @@ def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
     that downstream inverse-sampling weights stay finite (such strata
     contribute a zero rate anyway).
     """
-    return _rows(_one_lane((stratum,), 1.0).pi_tier)[0]
+    return _rows(fit_observed((stratum,), 1.0)[2].pi_tier)[0]
 
 
 def estimate_theta(dataset: Dataset) -> RateEstimate:
     """Full point estimate for a dataset: per-stratum rates, weights, and the aggregate."""
-    fit = _one_lane(dataset.strata, dataset.config.m)
+    _, _, fit = fit_observed(dataset.strata, dataset.config.m)
     return RateEstimate(
         Lambda_hat=_rows(fit.Lambda),
         lambda_hat=_rows(fit.lam),
@@ -115,7 +114,7 @@ def em_fixed_point_residual_t2(
     which keeps the oracle informative at such degenerate candidate points
     instead of failing on them.
     """
-    observed_counts((stratum,))  # raises on invalid counts
+    fit_observed((stratum,), 1.0)  # raises on invalid counts
     if stratum.tiers != 2:
         raise InvalidDataError(f"the fixed-point system is defined for 2 tiers, got {stratum.tiers}")
     e, n = stratum.e, stratum.n

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _batch
 from .distributions import RngStream
-from .estimator import observed_counts
+from .estimator import fit_observed
 from .model import Dataset, IntervalResult, InvalidDataError, RateEstimate
-from .model import check_bootstrap_replicates, check_estimable, check_level, check_mileage
+from .model import check_bootstrap_replicates, check_level, check_mileage
 
 __all__ = ["ci_bootstrap", "ci_wald", "ci_gamma_wsip"]
 
@@ -42,8 +42,7 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     """
     level = check_level(level)
     B = check_bootstrap_replicates(B)
-    e_obs, n_obs = observed_counts(dataset.strata)
-    check_estimable(dataset.strata, dataset.config.m)
+    e_obs, n_obs, _ = fit_observed(dataset.strata, dataset.config.m)
     lower, upper = _batch.bootstrap_bounds(
         e_obs, n_obs, dataset.config.m, level, B, rng.generator
     )

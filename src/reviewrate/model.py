@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ._batch import BatchEstimate
+
 __all__ = [
     "InvalidDataError",
     "ReviewConfig",
@@ -56,35 +58,29 @@ def check_mileage(m: float) -> None:
         )
 
 
-def check_estimable(strata: Iterable[ObservedStratum], m: float) -> None:
-    """Raise unless the estimates and intervals of valid counts at mileage ``m`` stay finite.
+def check_estimable(fit: BatchEstimate, m: float) -> None:
+    """Raise unless a one-lane fit of valid counts at mileage ``m`` has usable intervals.
 
-    Per stratum, ``e_0 / m`` is the first survival-rate estimate and bounds
-    the others, ``Lambda_T`` is the last, and ``w = prod_t(e_{t-1} / n_t) / m``
-    is the inverse-sampling weight. Summed over strata, ``e_0 / m`` must be
-    finite, and so must the gamma upper bound's moments
-    ``(sum Lambda_T + max w)^2`` and ``sum w^2 e_T + (max w)^2``. They bound
-    every other quantity the intervals compute, including the Wald variance,
-    which equals ``sum w^2 e_T``. A mileage that is finite with a finite
-    reciprocal can still overflow them.
+    A finite mileage with a finite reciprocal can still overflow the estimates
+    or the weights ``w = 1 / (m * pi_prod)`` when tiny, and underflow ``w^2``
+    to 0 when huge. So ``sum Lambda_0``, which bounds every rate estimate, the
+    Wald variance and the gamma upper bound's moments ``(theta + max w)^2`` and
+    ``gamma_var + (max w)^2`` must be finite, that last variance positive, and
+    both variances positive when ``theta > 0``.
     """
-    rate = theta = spread = w_max = 0.0
-    for s in strata:
-        lam_0 = s.e[0] / m
-        lam_T, w = lam_0, 1.0 / m
-        for pool, reviewed, escalated in zip(s.e, s.n, s.e[1:]):
-            if pool > 0:
-                lam_T *= escalated / reviewed
-                w *= pool / reviewed
-        rate += lam_0
-        theta += lam_T
-        spread += w * w * s.e[-1]
-        w_max = max(w_max, w)
-    mean = theta + w_max
-    if not all(map(math.isfinite, (rate, mean * mean, spread + w_max * w_max))):
+    theta, wald_var, gamma_var, w_max = (
+        float(v[0]) for v in (fit.theta, fit.wald_var, fit.gamma_var, fit.w_max)
+    )
+    mean, upper_var = theta + w_max, gamma_var + w_max * w_max
+    moments = (float(fit.Lambda[:, 0, 0].sum()), wald_var, mean * mean, upper_var)
+    if not (
+        all(map(math.isfinite, moments))
+        and upper_var > 0
+        and (not theta > 0 or (wald_var > 0 and gamma_var > 0))
+    ):
         raise InvalidDataError(
-            f"mileage m={m!r} is too small for these counts: the rate estimates, "
-            "their weights or the interval moments overflow"
+            f"mileage m={m!r} does not suit these counts: the rate estimates, "
+            "their weights or the interval moments overflow or vanish"
         )
 
 

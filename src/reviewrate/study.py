@@ -387,10 +387,8 @@ def summarize_comprehensive(
         xs = np.array([r.expected_tp for r in method_rows])
         centers = sorted(set(xs.tolist())) if grid is None else [float(g) for g in grid]
         values = {
-            "coverage": np.array([r.coverage for r in method_rows]),
-            "lower_miss": np.array([r.lower_miss for r in method_rows]),
-            "upper_miss": np.array([r.upper_miss for r in method_rows]),
-            "mean_width": np.array([r.mean_width for r in method_rows]),
+            metric: np.array([getattr(r, metric) for r in method_rows])
+            for metric in _WINDOW_METRICS
         }
         for center in centers:
             mask = np.abs(xs - center) <= window

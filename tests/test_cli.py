@@ -155,21 +155,41 @@ class TestEstimate:
         dpath.write_text(text)
         assert main(["estimate", str(dpath), "--ci", ci, "--B", "100"]) == 2
 
-    @pytest.mark.parametrize("text", [
-        '{"m": 1e-300, "strata": [{"e": [1000000000, 10], "n": [20]}]}',
-        '{"m": 1e-300, "strata": [{"e": [10, 0], "n": [1]}]}',
-        '{"m": 1e-140, "strata": [{"e": [1000000000000000, 500000000000000], '
-        '"n": [1000000000000000]}]}',
-    ], ids=["rate-overflow", "weight-overflow", "squared-rate-overflow"])
-    @pytest.mark.parametrize("ci", ["none", "wald", "gamma", "bootstrap", "all"])
-    def test_mileage_too_small_for_the_counts_is_validation_error(self, tmp_path, text, ci):
+    @staticmethod
+    def _estimate_without_runtime_warnings(tmp_path, text, ci):
         dpath = tmp_path / "d.json"
         dpath.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["estimate", str(dpath), "--ci", ci, "--B", "100"])
-        assert code == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 1e-300, "strata": [{"e": [1000000000, 10], "n": [20]}]}',
+        '{"m": 1e-300, "strata": [{"e": [10, 0], "n": [1]}]}',
+        '{"m": 1e-140, "strata": [{"e": [1000000000000000, 500000000000000], '
+        '"n": [1000000000000000]}]}',
+        '{"m": 1e-308, "strata": [{"e": [8000000000000000, 1], "n": [1]}]}',
+    ], ids=["rate-overflow", "weight-overflow", "squared-rate-overflow", "m-pi-underflow"])
+    @pytest.mark.parametrize("ci", ["none", "wald", "gamma", "bootstrap", "all"])
+    def test_mileage_too_small_for_the_counts_is_validation_error(self, tmp_path, text, ci):
+        assert self._estimate_without_runtime_warnings(tmp_path, text, ci) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 1e300, "strata": [{"e": [10, 5], "n": [10]}]}',
+        '{"m": 1e200, "strata": [{"e": [10, 0], "n": [10]}]}',
+    ], ids=["variance-underflow", "upper-variance-underflow"])
+    @pytest.mark.parametrize("ci", ["none", "wald", "gamma", "bootstrap", "all"])
+    def test_mileage_too_large_for_the_counts_is_validation_error(self, tmp_path, text, ci):
+        assert self._estimate_without_runtime_warnings(tmp_path, text, ci) == 2
+
+    def test_replicates_too_large_for_memory_is_usage_error(self, tmp_path, capsys):
+        dpath = tmp_path / "d.json"
+        dpath.write_text(json.dumps({"m": 1.0, "strata": [{"e": [10, 5], "n": [10]}]}))
+        # numpy refuses a 10**15-lane array at once, before touching any memory.
+        assert main(["estimate", str(dpath), "--ci", "bootstrap", "--B", str(10**15)]) == 1
+        assert "--B too large for memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("e0", [3 * 10**9, 2**53 - 1], ids=["3e9", "2**53-1"])
     def test_bootstrap_on_pools_beyond_the_hypergeometric_limit(self, tmp_path, e0):
@@ -236,6 +256,18 @@ class TestStudy:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert main(["study", "--study", "rare", "--grid", "0.5,nope",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--reps", str(10**15), "--methods", "wald"],
+        ["--reps", "1", "--B", str(10**15), "--methods", "bootstrap"],
+    ], ids=["reps", "B"])
+    def test_replicates_too_large_for_memory_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        # numpy refuses a 10**15-lane array at once, before touching any memory.
+        assert main(["study", "--study", "common", "--grid", "0.5", *flags,
+                     "--out", str(out)]) == 1
+        assert "--reps or --B too large for memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedEnvironment:
