@@ -12,6 +12,9 @@ latent class table: by the urn-composition identity each tier's rejections
 are one binomial draw on its review count (see ``generate_counts``). Its
 counts are equal in law to the scalar generator's observed counts, from a
 different random-draw layout.
+
+``scipy.special`` is imported by the quantile functions on first use, so a
+process that never builds a Wald or gamma interval never loads scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
 
 __all__ = [
     "hypergeometric_split",
@@ -169,6 +171,8 @@ def wald_bounds(
     theta: np.ndarray, wald_var: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normal-approximation bounds per lane; the lower bound is not clamped at zero."""
+    from scipy.special import ndtri
+
     z = ndtri(1.0 - (1.0 - level) / 2.0)
     half = z * np.sqrt(wald_var)
     return theta - half, theta + half
@@ -176,6 +180,8 @@ def wald_bounds(
 
 def moment_gamma_quantile(p: float, mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
     """Quantile ``p`` of the gamma with shape mean^2/variance and scale variance/mean."""
+    from scipy.special import gammaincinv
+
     return gammaincinv(mean * mean / variance, p) * (variance / mean)
 
 

@@ -5,13 +5,18 @@ replicate count too large for memory), 2 validation error (malformed files or
 inconsistent data), 3 internal error. All output files are written atomically
 (temp file in the target directory, then rename), and every command is
 deterministic given its flags and seed. The default seed comes from the
-``REVIEWRATE_SEED`` environment variable when set, else 0.
+``REVIEWRATE_SEED`` environment variable when set, else 0, read on each call.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the process: it depends on nothing but this module, and
+parsing does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -102,6 +107,7 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reviewrate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,7 +7,8 @@ below about 9.2e18, and the hypergeometric needs both the drawn class and
 the rest of the pool below 1e9 items, so the latent-table generator cannot
 split pools of that size. Quantiles go
 through ``scipy.special`` rather than ``scipy.stats`` to keep per-call
-overhead low in tight loops.
+overhead low in tight loops, and it is imported on first use: scipy is most
+of the package's import time, and generating data needs none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _batch
 
@@ -153,6 +153,8 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1), got {p!r}")
+    from scipy.special import ndtri
+
     return float(ndtri(p))
 
 

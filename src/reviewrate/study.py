@@ -13,11 +13,15 @@ Replications are vectorized: each (scenario, grid point) batch-generates all
 its replications on one child stream, and each replication's bootstrap runs
 on its own sub-stream. Cells run concurrently on a thread pool with one
 worker per usable CPU (numpy's samplers and scipy's quantile loops release
-the GIL). A cell reads only its own stream subtree and rows are merged in
-canonical order (scenario, grid point, method), so a sweep is a pure
-function of its spec whatever the worker count or scheduling. On an
-exception or Ctrl-C, cells already running finish and cells not yet started
-never start.
+the GIL); a cell's bootstrap replications are split into tasks of their
+own, so even a one-cell study uses every worker. A cell reads only its own
+stream subtree and rows are merged in canonical order (scenario, grid
+point, method), so a sweep is a pure function of its spec whatever the
+worker count or scheduling. Each generator is created on the submitting
+thread just before the task that draws from it is submitted, so the order
+in which streams come into being is fixed by the spec too, and only the
+tasks in flight hold bootstrap generators. On an exception or Ctrl-C, tasks
+already running finish and tasks not yet started never start.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import csv
 import io
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -220,41 +224,76 @@ def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return lam, pis
 
 
+def _draw_cell(
+    scenario: Scenario,
+    spec: StudySpec,
+    data_gen: np.random.Generator,
+    bounds: dict[str, tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw all replications of one cell, put its Wald and gamma bounds in
+    ``bounds`` and return its counts."""
+    lam, pis = _scenario_arrays(scenario)
+    m = scenario.config.m
+    e, n = _batch.generate_counts(lam, pis, m, spec.replications, data_gen)
+    est = _batch.estimate_counts(e, n, m)
+    if "wald" in spec.methods:
+        bounds["wald"] = _batch.wald_bounds(est.theta, est.wald_var, spec.level)
+    if "gamma_wsip" in spec.methods:
+        bounds["gamma_wsip"] = _batch.gamma_bounds(est.theta, est.gamma_var, est.w_max, spec.level)
+    return e, n
+
+
+def _bootstrap_chunk(
+    counts: Future,
+    start: int,
+    m: float,
+    spec: StudySpec,
+    gens: Sequence[np.random.Generator],
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> None:
+    """Fill ``lower`` and ``upper`` with the bootstrap bounds of a cell's
+    replications from ``start`` on, one per generator in ``gens``, once
+    ``counts`` holds the cell's counts."""
+    e, n = counts.result()
+    for j, gen in enumerate(gens):
+        r = start + j
+        lower[j], upper[j] = _batch.bootstrap_bounds(
+            e[:, :, r], n[:, :, r], m, spec.level, spec.B, gen
+        )
+
+
+def _draw_then_bootstrap(
+    draw: Callable[[], tuple[np.ndarray, np.ndarray]], counts: Future, *chunk
+) -> None:
+    """A bootstrap cell's first task: draw the cell's counts, hand them to its
+    other tasks through ``counts``, then run its own chunk."""
+    try:
+        counts.set_result(draw())
+    except BaseException as exc:
+        counts.set_exception(exc)
+        raise
+    _bootstrap_chunk(counts, *chunk)
+
+
+def _cancel_counts_with(counts: Future, first: Future) -> None:
+    """Done-callback of a bootstrap cell's first task: if the pool cancels it
+    before it starts, cancel ``counts`` too, so no task waits on them for ever."""
+    if first.cancelled():
+        counts.cancel()
+
+
 def _coverage_rows(
     scenario: Scenario,
-    theta_true: float,
     scenario_id: str,
     pi1: float | None,
     spec: StudySpec,
-    cell_stream: RngStream,
+    bounds: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> list[CoverageRow]:
-    """Run all replications for one (scenario, grid point) cell and tally per method."""
-    lam, pis = _scenario_arrays(scenario)
-    m = scenario.config.m
+    """Tally one cell's bounds per method against the scenario's true rate."""
+    theta_true = scenario.theta
     R = spec.replications
-
-    # Sub-stream 0 generates the data; sub-stream 1 parents the per-replication
-    # bootstrap streams, so changing the method set never perturbs the data.
-    e, n = _batch.generate_counts(lam, pis, m, R, cell_stream.child(0).generator)
-    est = _batch.estimate_counts(e, n, m)
     expected_tp = expected_observed_tp(scenario)
-
-    bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for method in spec.methods:
-        if method == "wald":
-            bounds[method] = _batch.wald_bounds(est.theta, est.wald_var, spec.level)
-        elif method == "gamma_wsip":
-            bounds[method] = _batch.gamma_bounds(est.theta, est.gamma_var, est.w_max, spec.level)
-        elif method == "bootstrap":
-            boot_root = cell_stream.child(1)
-            lower = np.empty(R)
-            upper = np.empty(R)
-            for r in range(R):
-                lower[r], upper[r] = _batch.bootstrap_bounds(
-                    e[:, :, r], n[:, :, r], m, spec.level, spec.B, boot_root.child(r).generator
-                )
-            bounds[method] = (lower, upper)
-
     rows = []
     for method in CI_METHODS:
         if method not in bounds:
@@ -279,11 +318,13 @@ def _coverage_rows(
     return rows
 
 
-# Cells submitted but not yet merged, per worker: enough to keep every worker
-# busy while the oldest cell is awaited, without queueing a whole study.
-_CELLS_IN_FLIGHT_PER_WORKER = 2
+# Tasks submitted but not yet merged, per worker: enough to keep every worker
+# busy while the oldest task is awaited, without queueing a whole study.
+_TASKS_IN_FLIGHT_PER_WORKER = 2
 
-_Cell = tuple[Callable[[], Scenario], str, float | None, RngStream]
+# Bootstrap replications per task. Their generators are made as the task is
+# submitted, so a sweep holds at most a window of tasks' worth of them.
+_BOOTSTRAP_CHUNK = 16
 
 
 def _worker_count() -> int:
@@ -294,52 +335,95 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _cells(spec: StudySpec) -> Iterator[_Cell]:
-    """Each cell's scenario maker, id, grid point and data stream, in canonical order.
+def _cells(spec: StudySpec) -> Iterator[tuple[Scenario, str, float | None, RngStream]]:
+    """Each cell's scenario, id, grid point and stream, in canonical order.
 
     Data streams live under one branch of the master stream and
     scenario-parameter draws under another, so the two can never collide.
+    Comprehensive scenarios are drawn here, as their cell is reached.
     """
     root = RngStream(spec.master_seed)
     data_root = root.child(0)
     param_root = root.child(1)
     if spec.source == "comprehensive":
         for si in range(spec.num_scenarios):
-            make = partial(scenario_comprehensive, param_root.child(si))
-            yield make, f"comprehensive-{si}", None, data_root.child(si, 0)
+            scenario = scenario_comprehensive(param_root.child(si))
+            yield scenario, f"comprehensive-{si}", None, data_root.child(si, 0)
     else:
         fixed = scenario_common if spec.source == "fixed-common" else scenario_rare
         scenario_id = "common" if spec.source == "fixed-common" else "rare"
         for gi, pi1 in enumerate(spec.pi1_grid):
-            yield partial(fixed, pi1), scenario_id, pi1, data_root.child(0, gi)
-
-
-def _run_cell(spec: StudySpec, cell: _Cell) -> list[CoverageRow]:
-    make, scenario_id, pi1, cell_stream = cell
-    scenario = make()
-    return _coverage_rows(scenario, scenario.theta, scenario_id, pi1, spec, cell_stream)
+            yield fixed(pi1), scenario_id, pi1, data_root.child(0, gi)
 
 
 def run_sweep(spec: StudySpec) -> list[CoverageRow]:
     """Run a full coverage study and return its rows in canonical order.
 
     Fixed studies iterate the first-tier sampling grid; the comprehensive
-    study iterates freshly drawn scenarios. Cells run on a thread pool of
-    ``min(usable CPUs, cells)`` workers, with at most a small multiple of
-    the worker count submitted at a time; the rows do not depend on either.
+    study iterates freshly drawn scenarios. A cell's draws run on a thread
+    pool of at most one worker per usable CPU, as one task or, with the
+    bootstrap, one task per ``_BOOTSTRAP_CHUNK`` replications, the first of
+    which also draws the cell's data. At most a small multiple of the worker
+    count is submitted at a time; the rows do not depend on either.
+
+    Every generator is made on this thread just before the task that draws
+    from it is submitted, in one order: per cell the scenario's, the
+    data's, then each replication's bootstrap. Only the tasks in flight hold
+    bootstrap generators, so at most a window's worth exist at once.
     """
     n_cells = spec.num_scenarios if spec.source == "comprehensive" else len(spec.pi1_grid)
-    workers = max(1, min(_worker_count(), n_cells))
+    bootstrap = "bootstrap" in spec.methods
+    R = spec.replications
+    tasks = n_cells * (-(-R // _BOOTSTRAP_CHUNK) if bootstrap else 1)
+    workers = max(1, min(_worker_count(), tasks))
     rows: list[CoverageRow] = []
-    in_flight: deque = deque()
+    # Each task's future, with its cell's rows when it is the cell's last task.
+    in_flight: deque[tuple[Future, Callable[[], list[CoverageRow]] | None]] = deque()
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="reviewrate-cell")
+
+    def merge_oldest() -> None:
+        future, cell_rows = in_flight.popleft()
+        future.result()
+        if cell_rows is not None:
+            rows.extend(cell_rows())
+
+    def submit(cell_rows: Callable[[], list[CoverageRow]] | None, fn: Callable, *args) -> Future:
+        if len(in_flight) == _TASKS_IN_FLIGHT_PER_WORKER * workers:
+            merge_oldest()
+        future = pool.submit(fn, *args)
+        in_flight.append((future, cell_rows))
+        return future
+
     try:
-        for cell in _cells(spec):
-            if len(in_flight) == _CELLS_IN_FLIGHT_PER_WORKER * workers:
-                rows.extend(in_flight.popleft().result())
-            in_flight.append(pool.submit(_run_cell, spec, cell))
+        for scenario, scenario_id, pi1, cell_stream in _cells(spec):
+            bounds: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            cell_rows = partial(_coverage_rows, scenario, scenario_id, pi1, spec, bounds)
+            # Sub-stream 0 generates the data; sub-stream 1 parents the
+            # per-replication bootstrap streams, so changing the method set
+            # never perturbs the data.
+            data_gen = cell_stream.child(0).generator
+            if not bootstrap:
+                submit(cell_rows, _draw_cell, scenario, spec, data_gen, bounds)
+                continue
+            # Allocated before any bootstrap generator is made, so a count of
+            # replications too large for memory fails here, not R objects later.
+            lower, upper = bounds["bootstrap"] = (np.empty(R), np.empty(R))
+            # The cell's first task draws its counts and hands them to its other
+            # tasks, which wait for them. The pool starts tasks in submission
+            # order, so the first task has started before any task that waits.
+            counts: Future = Future()
+            draw = partial(_draw_cell, scenario, spec, data_gen, bounds)
+            boot_root = cell_stream.child(1)
+            for start in range(0, R, _BOOTSTRAP_CHUNK):
+                stop = min(start + _BOOTSTRAP_CHUNK, R)
+                gens = [boot_root.child(r).generator for r in range(start, stop)]
+                task = partial(_draw_then_bootstrap, draw) if start == 0 else _bootstrap_chunk
+                future = submit(cell_rows if stop == R else None, task, counts, start,
+                                scenario.config.m, spec, gens, lower[start:stop], upper[start:stop])
+                if start == 0:
+                    future.add_done_callback(partial(_cancel_counts_with, counts))
         while in_flight:
-            rows.extend(in_flight.popleft().result())
+            merge_oldest()
     finally:
         pool.shutdown(cancel_futures=True)
     return rows

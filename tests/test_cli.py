@@ -1,12 +1,19 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from reviewrate import Dataset, validate_observed
+import reviewrate
+from reviewrate import Dataset, cli, validate_observed
 from reviewrate.cli import main
 from reviewrate.study import CSV_HEADER
 
@@ -259,8 +266,10 @@ class TestStudy:
 
     @pytest.mark.parametrize("flags", [
         ["--reps", str(10**15), "--methods", "wald"],
+        ["--reps", str(10**15), "--methods", "bootstrap"],
+        ["--reps", str(10**15)],
         ["--reps", "1", "--B", str(10**15), "--methods", "bootstrap"],
-    ], ids=["reps", "B"])
+    ], ids=["reps", "reps-bootstrap", "reps-all-methods", "B"])
     def test_replicates_too_large_for_memory_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
         # numpy refuses a 10**15-lane array at once, before touching any memory.
@@ -298,3 +307,99 @@ class TestSeedEnvironment:
             monkeypatch.setenv("REVIEWRATE_SEED", seed)
             assert main(args) == 1
             monkeypatch.delenv("REVIEWRATE_SEED")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("bad", [["--no-such-flag"], ["--level", "2"]],
+                             ids=["unknown-flag", "bad-level"])
+    def test_usage_error_leaves_later_calls_unchanged(self, tmp_path, scenario_file, capsys, bad):
+        data, report = tmp_path / "d.json", tmp_path / "r.json"
+        generate = ["generate", scenario_file, "--seed", "4", "--out", str(data)]
+        estimate = ["estimate", str(data), "--ci", "all", "--B", "100", "--json", str(report)]
+
+        def run(args):
+            code = main(args)
+            out, err = capsys.readouterr()
+            files = [data.read_bytes(), report.read_bytes() if report.exists() else None]
+            return code, out, err, files
+
+        cli._build_parser.cache_clear()
+        fresh = [run(generate), run(estimate)]
+        report.unlink()
+        failed = run(["estimate", str(data), *bad])
+        cli._build_parser.cache_clear()
+        assert run(["estimate", str(data), *bad]) == failed  # a fresh parser fails alike
+        assert failed[0] == 1 and failed[1] == "" and failed[2].startswith("usage error:")
+        data.unlink()
+        assert [run(generate), run(estimate)] == fresh
+
+    def test_seed_environment_is_read_on_each_call(self, tmp_path, scenario_file, monkeypatch):
+        outputs = {}
+        for seed in ("31", "32"):
+            monkeypatch.setenv("REVIEWRATE_SEED", seed)
+            out = tmp_path / f"env-{seed}.json"
+            assert main(["generate", scenario_file, "--out", str(out)]) == 0
+            outputs[seed] = out.read_bytes()
+        monkeypatch.delenv("REVIEWRATE_SEED")
+        for seed in ("31", "32"):
+            out = tmp_path / f"flag-{seed}.json"
+            assert main(["generate", scenario_file, "--seed", seed, "--out", str(out)]) == 0
+            assert out.read_bytes() == outputs[seed]
+        assert outputs["31"] != outputs["32"]
+
+    def test_concurrent_callers_match_serial(self, tmp_path, scenario_file):
+        methods = ("wald", "gamma", "bootstrap", "all", "none")
+
+        def job(root, i):
+            data, report = root / f"d{i}.json", root / f"r{i}.json"
+            codes = [main(["generate", scenario_file, "--seed", str(i), "--out", str(data)])]
+            flags = ["--level", "2"] if i % 6 == 5 else ["--ci", methods[i % 5], "--B", "100"]
+            codes.append(main(["estimate", str(data), *flags, "--seed", str(i),
+                               "--json", str(report)]))
+            return codes
+
+        def files(root):
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        serial_dir, threaded_dir = tmp_path / "serial", tmp_path / "threaded"
+        serial_dir.mkdir()
+        threaded_dir.mkdir()
+        serial = [job(serial_dir, i) for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                runs = callers.map(lambda i: job(threaded_dir, i), range(24), timeout=300)
+                threaded = list(runs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert {code for codes in serial for code in codes} == {0, 1}
+        assert files(threaded_dir) == files(serial_dir)
+
+
+def test_generate_does_not_load_scipy(tmp_path, scenario_file):
+    script = textwrap.dedent("""
+        import sys
+        import reviewrate.cli
+        loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        after_import = loaded()
+        code = reviewrate.cli.main(sys.argv[1:])
+        print("probe:", code, after_import, loaded())
+        code = reviewrate.cli.main(["estimate", sys.argv[4], "--ci", "gamma"])
+        print("probe:", code, bool(loaded()))
+    """)
+    out = tmp_path / "d.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(reviewrate.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", scenario_file, "--out", str(out),
+         "--latent", str(tmp_path / "latent.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probes = [line for line in proc.stdout.splitlines() if line.startswith("probe:")]
+    assert probes[0] == "probe: 0 [] []"
+    assert probes[1] == "probe: 0 True"  # the gamma interval loads scipy, so the probe sees it

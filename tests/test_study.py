@@ -1,5 +1,6 @@
 """Tests for the fixed and randomized coverage studies."""
 
+import inspect
 import math
 import sys
 import threading
@@ -210,13 +211,13 @@ class TestCellPool:
     @pytest.mark.parametrize("name", POOL_SPECS)
     def test_csv_does_not_depend_on_worker_count(self, monkeypatch, name):
         threads = set()
-        coverage_rows = study._coverage_rows
+        draw_cell = study._draw_cell
 
         def recording(*args, **kwargs):
             threads.add(threading.get_ident())
-            return coverage_rows(*args, **kwargs)
+            return draw_cell(*args, **kwargs)
 
-        monkeypatch.setattr(study, "_coverage_rows", recording)
+        monkeypatch.setattr(study, "_draw_cell", recording)
         texts = []
         for workers in (1, 2, 5):
             monkeypatch.setattr(study, "_worker_count", lambda workers=workers: workers)
@@ -239,24 +240,60 @@ class TestCellPool:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
+    @pytest.mark.parametrize("name", POOL_SPECS)
+    def test_streams_are_created_in_canonical_order(self, monkeypatch, name):
+        # The cells draw on worker threads, but every generator must come into
+        # being in one order, whatever the worker count and thread switching.
+        fget = inspect.getattr_static(RngStream, "generator").fget
+        created = []
+
+        def generator(stream):
+            if stream._generator is None:
+                created.append(stream.path)
+            return fget(stream)
+
+        monkeypatch.setattr(RngStream, "generator", property(generator))
+        orders = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(study, "_worker_count", lambda workers=workers: workers)
+                created.clear()
+                run_sweep(POOL_SPECS[name])
+                orders.append(list(created))
+        finally:
+            sys.setswitchinterval(interval)
+        assert orders[0] == orders[1] == orders[2]
+        spec = POOL_SPECS[name]
+        if spec.source == "comprehensive":
+            # Per scenario: its parameters, then its data.
+            want = [p for si in range(spec.num_scenarios) for p in ((1, si), (0, si, 0, 0))]
+        else:
+            # Per grid point: its data, then each replication's bootstrap.
+            want = [p for gi in range(len(spec.pi1_grid)) for p in (
+                (0, 0, gi, 0), *((0, 0, gi, 1, r) for r in range(spec.replications)))]
+        assert orders[0] == want
+
     @pytest.mark.parametrize("error", [RuntimeError("cell failed"), KeyboardInterrupt()],
                              ids=["exception", "keyboard-interrupt"])
     def test_failing_cell_stops_the_sweep(self, monkeypatch, error):
         workers, failing, cells = 2, 3, 20
-        window = study._CELLS_IN_FLIGHT_PER_WORKER * workers
+        window = study._TASKS_IN_FLIGHT_PER_WORKER * workers
         started = []
         lock = threading.Lock()
 
-        def cell(scenario, theta, scenario_id, pi1, spec, cell_stream):
+        def cell(scenario, spec, data_gen, bounds):
+            pi1 = scenario.strata[0].pis[0]
             with lock:
-                started.append(cell_stream.path[-1])
-            if cell_stream.path[-1] == failing:
+                started.append(grid.index(pi1))
+            if grid.index(pi1) == failing:
                 time.sleep(0.05)  # time enough for the other worker to drain its queue
                 raise error
-            return []
+            return None, None
 
         monkeypatch.setattr(study, "_worker_count", lambda: workers)
-        monkeypatch.setattr(study, "_coverage_rows", cell)
+        monkeypatch.setattr(study, "_draw_cell", cell)
         grid = tuple(round(0.05 * k, 2) for k in range(1, cells + 1))
         spec = StudySpec(source="fixed-common", pi1_grid=grid, replications=1, methods=("wald",))
         with pytest.raises(type(error)) as excinfo:
@@ -267,6 +304,25 @@ class TestCellPool:
         assert failing in started
         assert len(started) <= failing + window < cells
         assert max(started) < failing + window
+
+    def test_failing_draw_stops_a_bootstrap_sweep(self, monkeypatch):
+        # A bootstrap cell's later tasks wait on the counts its first task
+        # draws; when that draw fails they fail with it, and the sweep raises.
+        error = RuntimeError("draw failed")
+        draw_cell = study._draw_cell
+
+        def cell(scenario, spec, data_gen, bounds):
+            if scenario.strata[0].pis[0] == 0.3:
+                raise error
+            return draw_cell(scenario, spec, data_gen, bounds)
+
+        monkeypatch.setattr(study, "_worker_count", lambda: 2)
+        monkeypatch.setattr(study, "_draw_cell", cell)
+        spec = StudySpec(source="fixed-common", pi1_grid=(0.1, 0.2, 0.3, 0.4, 0.5),
+                         replications=3 * study._BOOTSTRAP_CHUNK, B=100, methods=("bootstrap",))
+        with pytest.raises(RuntimeError) as excinfo:
+            run_sweep(spec)
+        assert excinfo.value is error
 
 
 class TestCsv:
