@@ -8,10 +8,14 @@ lane count.
 
 The simulation draws only the observable counts (e, n), which are all the
 estimator and the intervals read, and never builds the scalar generator's
-latent class table: by the urn-composition identity each tier's rejections
-are one binomial draw on its review count (see ``generate_counts``). Its
+latent class table. Without the forced single review, every leaf of a
+stratum's review tree (the final survivors, and per tier the rejected and the
+unreviewed events) is an independent Poisson count by thinning, and the
+counts are sums of leaves; lanes where a non-empty pool got no review are
+then repaired by the urn-composition identity (see ``generate_counts``). Its
 counts are equal in law to the scalar generator's observed counts, from a
-different random-draw layout.
+different random-draw layout. The bootstrap refits only theta on its
+replicates, through the same survival-rate recursion as ``estimate_counts``.
 
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
@@ -19,6 +23,7 @@ process that never builds a Wald or gamma interval never loads scipy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +78,33 @@ def generate_counts(
     arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size),
     equal in law to the observed counts of the latent-table generator.
 
-    Only the observables are drawn. Given its size, a pool's class mix is
-    multinomial with the class rates as weights, and a uniform review sample
-    keeps that law, so the events a tier rejects are binomial in its review
-    count. Per stratum: ``e_0 ~ Poisson(m * sum_k lambda_k)``, then per tier
-    ``n_t = max(1, Bin(e_{t-1}, pi_t))`` on a non-empty pool (else 0) and
-    ``e_t = n_t - Bin(n_t, lambda_{t-1} / sum_{k>=t-1} lambda_k)``, with the
-    share taken as 0 where that tail sum is 0. Draw order: one Poisson call
-    for all strata, then per tier one binomial call for the review counts and
-    one for the rejections, each drawing an (H, size) block.
+    Only the observables are drawn, by Poisson thinning of each stratum's
+    review tree. Without the forced single review each event is reviewed at
+    tier t with probability pi_t, independently of its class and of the other
+    events, so every leaf of the tree is an independent Poisson count: the
+    class-T events that survive all T tiers, at rate
+    ``m * lambda_T * prod_{s<=T} pi_s``; the class t-1 events tier t rejects,
+    at ``m * lambda_{t-1} * prod_{s<=t} pi_s``; and the events still in the
+    pool that tier t leaves unreviewed, at
+    ``m * tail_{t-1} * prod_{s<t} pi_s * (1 - pi_t)`` with
+    ``tail_t = sum_{k>=t} lambda_k``. The counts are sums of leaves:
+    ``e_T`` is the survivors leaf, ``n_t = e_t + rejected_t`` and
+    ``e_{t-1} = n_t + unreviewed_t``.
+
+    Then, per tier t from 1 to T, every lane whose non-empty pool got no
+    review (``e_{t-1} > 0``, ``n_t = 0``) is repaired: ``n_t = 1`` and
+    ``e_t = 1 - Bin(1, lambda_{t-1} / tail_{t-1})``. The review marks are
+    independent of the pool's class mix, so given no review the mix is still
+    multinomial in the class rates, and the one forced review rejects with
+    that share. Those lanes' later counts were 0 and now follow from a pool
+    of at most one event, which the next tiers repair in turn; this is the
+    binomial chain ``n_t = max(1, Bin(e_{t-1}, pi_t))``,
+    ``e_t = n_t - Bin(n_t, lambda_{t-1} / tail_{t-1})`` on a one-event pool.
+
+    Draw order: the survivors leaf, then per tier from T down to 1 the
+    rejected leaf and then the unreviewed leaf, each an (H, size) block in
+    (stratum, lane) order, then per tier from 1 to T one binomial call for
+    the repaired lanes, in (stratum, lane) order.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     pis = np.asarray(pis, dtype=float)
@@ -91,16 +114,35 @@ def generate_counts(
     tail = np.cumsum(lambdas[:, ::-1], axis=1)[:, ::-1]
     reject = np.zeros((H, T))
     np.divide(lambdas[:, :T], tail[:, :T], out=reject, where=tail[:, :T] > 0)
+    # reach[:, t]: m times the chance that an event is reviewed at tiers 1..t.
+    reach = m * np.cumprod(np.hstack([np.ones((H, 1)), pis]), axis=1)
 
     e = np.empty((H, T + 1, size), dtype=np.int64)
     n = np.empty((H, T, size), dtype=np.int64)
-    e[:, 0] = gen.poisson(m * tail[:, :1], size=(H, size))
+    e[:, T] = 0
+    _add_poisson(e[:, T], reach[:, T] * lambdas[:, T], gen, out=e[:, T])
+    for t in range(T, 0, -1):
+        _add_poisson(e[:, t], reach[:, t] * lambdas[:, t - 1], gen, out=n[:, t - 1])
+        unreviewed = reach[:, t - 1] * tail[:, t - 1] * (1.0 - pis[:, t - 1])
+        _add_poisson(n[:, t - 1], unreviewed, gen, out=e[:, t - 1])
     for t in range(1, T + 1):
-        pool = e[:, t - 1]
-        reviewed = np.where(pool > 0, np.maximum(gen.binomial(pool, pis[:, t - 1 : t]), 1), 0)
-        n[:, t - 1] = reviewed
-        e[:, t] = reviewed - gen.binomial(reviewed, reject[:, t - 1 : t])
+        h, r = np.nonzero((e[:, t - 1] > 0) & (n[:, t - 1] == 0))
+        n[h, t - 1, r] = 1
+        e[h, t, r] = 1 - gen.binomial(1, reject[h, t - 1])
     return e, n
+
+
+def _add_poisson(
+    base: np.ndarray, rates: np.ndarray, gen: np.random.Generator, out: np.ndarray
+) -> None:
+    """Set ``out[h] = base[h] + Poisson(rates[h])`` for each row h of an (H, size) block.
+
+    The draws are those of ``gen.poisson(rates[:, None], size=out.shape)``:
+    one call per row with a scalar rate skips numpy's broadcasting iterator,
+    which costs about 10% more per draw.
+    """
+    for h, rate in enumerate(rates):
+        np.add(base[h], gen.poisson(rate, out.shape[1]), out=out[h])
 
 
 class BatchEstimate(NamedTuple):
@@ -125,14 +167,8 @@ def estimate_counts(e: np.ndarray, n: np.ndarray, m: float) -> BatchEstimate:
     T = width - 1
 
     Lambda = np.empty((H, T + 1, R), dtype=float)
-    Lambda[:, 0] = e[:, 0] / m
-    for t in range(1, T + 1):
-        n_t = n[:, t - 1]
-        # Escalation fraction first (e_t/n_t <= 1 exactly for integer counts)
-        # keeps the sequence non-increasing to the last bit.
-        Lambda[:, t] = np.where(
-            e[:, t - 1] > 0, Lambda[:, t - 1] * (e[:, t] / np.maximum(n_t, 1)), 0.0
-        )
+    for t, level in enumerate(_survival(e, n, m)):
+        Lambda[:, t] = level
 
     lam = Lambda.copy()
     lam[:, :T] -= Lambda[:, 1:]
@@ -147,6 +183,17 @@ def estimate_counts(e: np.ndarray, n: np.ndarray, m: float) -> BatchEstimate:
     gamma_var = gamma_variance(weights, e[:, T])
     w_max = weights.max(axis=0)
     return BatchEstimate(Lambda, lam, pi_tier, pi_prod, weights, theta, wald_var, gamma_var, w_max)
+
+
+def _survival(e: np.ndarray, n: np.ndarray, m: float) -> Iterator[np.ndarray]:
+    """Yield the survival-rate estimates Lambda_0, ..., Lambda_T, each of shape (H, R)."""
+    level = e[:, 0] / m
+    yield level
+    for t in range(1, e.shape[1]):
+        # Escalation fraction first (e_t/n_t <= 1 exactly for integer counts)
+        # keeps the sequence non-increasing to the last bit.
+        level = np.where(e[:, t - 1] > 0, level * (e[:, t] / np.maximum(n[:, t - 1], 1)), 0.0)
+        yield level
 
 
 def _strata_sum(values: np.ndarray) -> np.ndarray:
@@ -220,7 +267,9 @@ def bootstrap_bounds(
     lam_plug = fit.lam[:, :, 0]
     pi_plug = fit.pi_tier[:, :, 0]
     e_b, n_b = generate_counts(lam_plug, pi_plug, m, n_replicates, gen)
-    theta_b = estimate_counts(e_b, n_b, m).theta
+    # Only theta is refit on the replicates, by the recursion estimate_counts uses.
+    *_, lam_T = _survival(e_b, n_b, m)
+    theta_b = _strata_sum(lam_T)
     alpha = 1.0 - level
     lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lower), float(upper)

@@ -167,9 +167,13 @@ class Scenario:
                 raise InvalidDataError(
                     f"stratum {i} has {s.tiers} tiers, expected {self.config.T}"
                 )
-            rate = self.config.m * max(s.lambdas)
+            # The pool e_0 is Poisson at this rate in both samplers, and its
+            # count must fit the int64 arrays that hold it.
+            rate = self.config.m * sum(s.lambdas)
             if not rate <= _MAX_POISSON_RATE:
-                raise InvalidDataError(f"stratum {i}: m*lambda={rate!r} exceeds the Poisson limit")
+                raise InvalidDataError(
+                    f"stratum {i}: m*sum(lambdas)={rate!r} exceeds the Poisson limit"
+                )
 
     @property
     def theta(self) -> float:

@@ -84,7 +84,10 @@ class TestGenerate:
         '{"m": Infinity, "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
         '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1e300, 2], "pis": [0.5]}]}',
         '{"m": 1.0, "H": "x", "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
-    ], ids=["infinite-mileage", "rate-above-poisson-limit", "non-integer-stratum-count"])
+        # each rate is within the limit, but the pool's rate, their sum, is not
+        '{"m": 1, "H": 1, "T": 1, "strata": [{"lambdas": [5e18, 5e18], "pis": [0.5]}]}',
+    ], ids=["infinite-mileage", "rate-above-poisson-limit", "non-integer-stratum-count",
+            "pool-rate-above-poisson-limit"])
     def test_out_of_range_scenario_is_validation_error(self, tmp_path, text):
         spath = tmp_path / "scenario.json"
         spath.write_text(text)

@@ -1,6 +1,7 @@
 """Tests for the tiered review simulator."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -190,3 +191,59 @@ class TestBatchEngineAgreesInLaw:
         chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
         pvalue = stats.chi2.sf(chi2, df=len(table) - 1)
         assert pvalue > 1e-3, f"chi2={chi2:.1f} over {len(table)} cells, p={pvalue:.2e}"
+
+    def test_observable_tuples_match_scalar_engine_with_later_forced_reviews(self):
+        # Small pools and small later sampling rates force a single review at
+        # tiers 2 and 3 in about half of the lanes, so this case checks the
+        # batch sampler's repair of unreviewed pools past the first tier.
+        # Stratum 0 has a class with rate 0 and a first tier with pi = 1.
+        strata = (
+            StratumParams(lambdas=(0.0, 1.0, 0.5, 2.0), pis=(1.0, 0.15, 0.2)),
+            StratumParams(lambdas=(2.0, 1.5, 1.0, 0.8), pis=(0.5, 0.1, 0.25)),
+        )
+        scen = Scenario(config=ReviewConfig(m=1.0, H=2, T=3), strata=strata)
+        lam, pis = _scenario_arrays(scen)
+        reps = 2 * 10**4
+
+        e, n = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(42).generator)
+        batch = Counter(
+            (h,) + tuple(e[h, :, r]) + tuple(n[h, :, r]) for h in range(2) for r in range(reps)
+        )
+        root = RngStream(43)
+        scalar = Counter()
+        for i in range(reps):
+            _, ds = generate_dataset(scen, root.child(i))
+            scalar.update((h,) + s.e + s.n for h, s in enumerate(ds.strata))
+
+        # Two-sample chi-square, every cell below 10 draws over both engines lumped into one.
+        rows = [[0, 0]]
+        for cell in batch.keys() | scalar.keys():
+            a, b = batch[cell], scalar[cell]
+            if a + b >= 10:
+                rows.append([a, b])
+            else:
+                rows[0][0] += a
+                rows[0][1] += b
+        table = np.array(rows, dtype=float)
+        assert len(table) > 100
+        total = table.sum(axis=1)
+        chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
+        pvalue = stats.chi2.sf(chi2, df=len(table) - 1)
+        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {len(table)} cells, p={pvalue:.2e}"
+
+
+class TestBatchSamplerMemory:
+    def test_peak_allocation_is_outputs_plus_two_blocks(self):
+        # The leaves are added into the output arrays in place, so beside the
+        # outputs the sampler may hold at most two (H, size) int64 blocks.
+        lam, pis = _scenario_arrays(scenario_common(0.1))
+        size = 10**5
+        block = lam.shape[0] * size * np.dtype(np.int64).itemsize
+        gen = RngStream(6).generator
+        tracemalloc.start()
+        try:
+            e, n = _batch.generate_counts(lam, pis, 1.0, size, gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= e.nbytes + n.nbytes + 2 * block, peak / block

@@ -20,6 +20,7 @@ from reviewrate import (
     scenario_common,
     scenario_rare,
 )
+from reviewrate import _batch
 from helpers import mp_gamma_quantile
 
 
@@ -129,6 +130,19 @@ class TestBootstrap:
         a = ci_bootstrap(ds, 0.9, 300, RngStream(4, (9,)))
         b = ci_bootstrap(ds, 0.9, 300, RngStream(4, (9,)))
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+    def test_theta_only_refit_is_bit_identical_to_the_estimator(self):
+        # Stratum 0 never has a pool and stratum 1 never has a survivor.
+        gen = np.random.default_rng(8)
+        lam = gen.uniform(0.0, 3.0, size=(4, 4))
+        lam[0] = 0.0
+        lam[1, 3] = 0.0
+        pis = gen.uniform(0.05, 1.0, size=(4, 3))
+        e, n = _batch.generate_counts(lam, pis, 0.7, 5000, gen)
+        assert (e[2:, 0] == 0).any() and (e[2:, 3] == 0).any()
+        *_, lam_T = _batch._survival(e, n, 0.7)
+        refit = _batch._strata_sum(lam_T)
+        assert refit.tobytes() == _batch.estimate_counts(e, n, 0.7).theta.tobytes()
 
     def test_validation(self):
         with pytest.raises(InvalidDataError):

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from reviewrate import study
+from reviewrate import _batch, study
 from reviewrate import (
     CoverageRow,
     InvalidDataError,
@@ -167,6 +167,27 @@ class TestRunSweep:
             methods=("bootstrap", "wald", "gamma_wsip"), B=150, master_seed=6,
         )
         assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(spec))
+
+    def test_theta_only_refit_leaves_the_csv_unchanged(self, monkeypatch):
+        # The bootstrap refits only theta on its replicates; refitting them
+        # with the full estimator must give the same bytes.
+        def full_refit_bounds(e_obs, n_obs, m, level, n_replicates, gen):
+            fit = _batch.estimate_counts(e_obs[:, :, None], n_obs[:, :, None], m)
+            e_b, n_b = _batch.generate_counts(
+                fit.lam[:, :, 0], fit.pi_tier[:, :, 0], m, n_replicates, gen
+            )
+            theta_b = _batch.estimate_counts(e_b, n_b, m).theta
+            alpha = 1.0 - level
+            lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
+            return float(lower), float(upper)
+
+        spec = StudySpec(
+            source="fixed-rare", pi1_grid=(0.1, 0.7), replications=20,
+            methods=("bootstrap",), B=150, master_seed=6,
+        )
+        text = rows_to_csv(run_sweep(spec))
+        monkeypatch.setattr(_batch, "bootstrap_bounds", full_refit_bounds)
+        assert rows_to_csv(run_sweep(spec)) == text
 
     def test_comprehensive_rows(self):
         spec = StudySpec(
