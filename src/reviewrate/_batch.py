@@ -7,15 +7,14 @@ one-lane views of this module, and a lane's arithmetic does not depend on the
 lane count.
 
 The simulation draws only the observable counts (e, n), which are all the
-estimator and the intervals read, and never builds the scalar generator's
-latent class table. Without the forced single review, every leaf of a
+estimator and the intervals read; ``generator`` completes the latent class
+table from one lane of them. Without the forced single review, every leaf of a
 stratum's review tree (the final survivors, and per tier the rejected and the
 unreviewed events) is an independent Poisson count by thinning, and the
 counts are sums of leaves; lanes where a non-empty pool got no review are
-then repaired by the urn-composition identity (see ``generate_counts``). Its
-counts are equal in law to the scalar generator's observed counts, from a
-different random-draw layout. The bootstrap refits only theta on its
-replicates, through the same survival-rate recursion as ``estimate_counts``.
+then repaired by the urn-composition identity (see ``generate_counts``). The
+bootstrap refits only theta on its replicates, through the same
+survival-rate recursion as ``estimate_counts``.
 
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
@@ -75,8 +74,7 @@ def generate_counts(
     """Simulate ``size`` independent replications of every stratum's observed counts.
 
     ``lambdas`` has shape (H, T+1) and ``pis`` shape (H, T). Returns integer
-    arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size),
-    equal in law to the observed counts of the latent-table generator.
+    arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size).
 
     Only the observables are drawn, by Poisson thinning of each stratum's
     review tree. Without the forced single review each event is reviewed at
@@ -127,8 +125,9 @@ def generate_counts(
         _add_poisson(n[:, t - 1], unreviewed, gen, out=e[:, t - 1])
     for t in range(1, T + 1):
         h, r = np.nonzero((e[:, t - 1] > 0) & (n[:, t - 1] == 0))
-        n[h, t - 1, r] = 1
-        e[h, t, r] = 1 - gen.binomial(1, reject[h, t - 1])
+        if h.size:
+            n[h, t - 1, r] = 1
+            e[h, t, r] = 1 - gen.binomial(1, reject[h, t - 1])
     return e, n
 
 

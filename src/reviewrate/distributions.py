@@ -4,11 +4,10 @@ Sampling is delegated to :class:`numpy.random.Generator`, whose Poisson,
 binomial and hypergeometric samplers are exact (no normal approximation at
 large rates) within numpy's parameter limits: the Poisson rate must stay
 below about 9.2e18, and the hypergeometric needs both the drawn class and
-the rest of the pool below 1e9 items, so the latent-table generator cannot
-split pools of that size. Quantiles go
-through ``scipy.special`` rather than ``scipy.stats`` to keep per-call
-overhead low in tight loops, and it is imported on first use: scipy is most
-of the package's import time, and generating data needs none of it.
+the rest of the pool below 1e9 items. Quantiles go through
+``scipy.special`` rather than ``scipy.stats`` to keep per-call overhead low
+in tight loops, and it is imported on first use: scipy is most of the
+package's import time, and generating data needs none of it.
 """
 
 from __future__ import annotations

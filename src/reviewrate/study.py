@@ -39,6 +39,7 @@ import numpy as np
 
 from . import _batch
 from .distributions import RngStream
+from .generator import _scenario_arrays
 from .model import CI_METHODS, InvalidDataError, ReviewConfig, Scenario, StratumParams
 from .model import check_bootstrap_replicates, check_level
 
@@ -216,12 +217,6 @@ def expected_observed_tp(scenario: Scenario) -> float:
             prod *= p
         total += scenario.config.m * params.lambdas[-1] * prod
     return total
-
-
-def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.array([s.lambdas for s in scenario.strata], dtype=float)
-    pis = np.array([s.pis for s in scenario.strata], dtype=float)
-    return lam, pis
 
 
 def _draw_cell(

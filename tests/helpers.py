@@ -56,3 +56,65 @@ def reference_variances(strata, m):
     wald = sum(lam[-1] / prod for lam, prod in zip(lambda_hat, pi_prod)) / m
     gamma = sum(w * w * s.e[-1] for w, s in zip(weights, strata))
     return wald, gamma
+
+
+# numpy's hypergeometric needs both the drawn class and the rest of the pool below this.
+_SPLIT_LIMIT = 10**9
+
+
+def reference_generate_stratum(params, m, rng):
+    """The latent-table generator as a sequential split loop, independent of ``_batch``.
+
+    Latent class counts are drawn as independent Poissons in class order,
+    then per tier one binomial draw sizes the review (clamped up to 1 on a
+    non-empty pool) and one multivariate hypergeometric draw splits it
+    across the pool's classes. An empty pool terminates the stratum. Returns
+    ``(LatentTable, ObservedStratum)``, the same law as ``generate_stratum``.
+    """
+    from reviewrate.distributions import sample_binomial, sample_mv_hypergeometric, sample_poisson
+    from reviewrate.model import LatentTable, ObservedStratum, check_mileage
+
+    check_mileage(m)
+    T = params.tiers
+
+    # x[t][s]: events of class t still present in escalation set s.
+    x = [[0] * (T + 1) for _ in range(T + 1)]
+    for t in range(T + 1):
+        x[t][0] = sample_poisson(m * params.lambdas[t], rng)
+
+    e = [0] * (T + 1)
+    n = [0] * T
+    e[0] = sum(x[t][0] for t in range(T + 1))
+
+    for t in range(1, T + 1):
+        if e[t - 1] == 0:
+            break
+        b = sample_binomial(e[t - 1], params.pis[t - 1], rng)
+        n[t - 1] = max(1, b)
+        pool = [x[k][t - 1] for k in range(t - 1, T + 1)]
+        assert max(pool[0], e[t - 1] - pool[0]) < _SPLIT_LIMIT, "pool beyond the split limit"
+        drawn = sample_mv_hypergeometric(pool, n[t - 1], rng)
+        # drawn[0] is the count of events the tier rejects; the rest escalate.
+        for offset, k in enumerate(range(t, T + 1), start=1):
+            x[k][t] = drawn[offset]
+        e[t] = n[t - 1] - drawn[0]
+
+    latent = LatentTable(x=tuple(tuple(x[t][: t + 1]) for t in range(T + 1)))
+    observed = ObservedStratum(e=tuple(e), n=tuple(n))
+    assert latent.escalation_totals() == observed.e, "latent columns disagree with pools"
+    return latent, observed
+
+
+def reference_generate_dataset(scenario, rng):
+    """``reference_generate_stratum`` per stratum, stratum h on the child stream ``rng.child(h)``.
+
+    Returns ``(latents, Dataset)`` like ``generate_dataset``.
+    """
+    from reviewrate.model import Dataset
+
+    pairs = [
+        reference_generate_stratum(params, scenario.config.m, rng.child(h))
+        for h, params in enumerate(scenario.strata)
+    ]
+    latents = tuple(latent for latent, _ in pairs)
+    return latents, Dataset(config=scenario.config, strata=tuple(obs for _, obs in pairs))

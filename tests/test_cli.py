@@ -93,13 +93,27 @@ class TestGenerate:
         spath.write_text(text)
         assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
 
-    def test_class_count_beyond_the_latent_split_limit_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lambdas", [[1e12, 2, 3], [4e15, 4e15, 1]],
+                             ids=["class-beyond-1e9", "pool-near-2**53"])
+    def test_large_pools_generate_a_latent_table(self, tmp_path, lambdas):
         spath = tmp_path / "scenario.json"
         spath.write_text(json.dumps(
-            {"m": 1, "H": 1, "T": 2, "strata": [{"lambdas": [1e12, 2, 3], "pis": [0.5, 0.5]}]}
+            {"m": 1, "H": 1, "T": 2, "strata": [{"lambdas": lambdas, "pis": [0.5, 0.5]}]}
+        ))
+        out, latent = tmp_path / "x.json", tmp_path / "latent.json"
+        assert main(["generate", str(spath), "--out", str(out), "--latent", str(latent)]) == 0
+        rows = json.loads(latent.read_text())["strata"][0]["x"]
+        e = json.loads(out.read_text())["strata"][0]["e"]
+        assert [sum(rows[t][s] for t in range(s, 3)) for s in range(3)] == e
+
+    def test_pool_beyond_the_dataset_count_limit_is_validation_error(self, tmp_path, capsys):
+        # The pool's rate is within numpy's Poisson limit, but no dataset can hold its count.
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(
+            {"m": 1, "H": 1, "T": 2, "strata": [{"lambdas": [4e18, 4e18, 1], "pis": [0.5, 0.5]}]}
         ))
         assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
-        assert "latent-table generator's limit" in capsys.readouterr().err
+        assert "below 2**53" in capsys.readouterr().err
 
     def test_malformed_json_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

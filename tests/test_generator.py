@@ -20,6 +20,7 @@ from reviewrate import (
     validate_observed,
 )
 from reviewrate import _batch
+from helpers import reference_generate_dataset
 from reviewrate.study import _scenario_arrays
 
 
@@ -95,13 +96,23 @@ class TestGenerateStratum:
 
 class TestGenerateDataset:
     def test_single_stratum_reduction(self):
+        # An H=1 scenario draws the same blocks as one stratum on the same stream.
         params = StratumParams(lambdas=(3.0, 1.0, 2.0, 6.0), pis=(0.5, 0.7, 0.9))
         scen = Scenario(config=ReviewConfig(m=1.0, H=1, T=3), strata=(params,))
-        root = RngStream(52)
-        latents, ds = generate_dataset(scen, root)
-        latent_direct, obs_direct = generate_stratum(params, 1.0, root.child(0))
-        assert latents[0] == latent_direct
-        assert ds.strata[0] == obs_direct
+        for seed in range(20):
+            latents, ds = generate_dataset(scen, RngStream(52, (seed,)))
+            latent_direct, obs_direct = generate_stratum(params, 1.0, RngStream(52, (seed,)))
+            assert latents[0] == latent_direct
+            assert ds.strata[0] == obs_direct
+
+    def test_observed_counts_are_lane_zero_of_the_batch_sampler(self):
+        scen = scenario_common(0.3)
+        lam, pis = _scenario_arrays(scen)
+        for seed in range(20):
+            _, ds = generate_dataset(scen, RngStream(53, (seed,)))
+            e, n = _batch.generate_counts(lam, pis, 1.0, 1, RngStream(53, (seed,)).generator)
+            assert [s.e for s in ds.strata] == [tuple(row) for row in e[:, :, 0].tolist()]
+            assert [s.n for s in ds.strata] == [tuple(row) for row in n[:, :, 0].tolist()]
 
     def test_common_scenario_shapes(self):
         scen = scenario_common(0.5)
@@ -134,19 +145,74 @@ class TestThinningConsistency:
         assert abs(total / reps - target) < 3 * math.sqrt(target / reps)
 
 
+def two_sample_chi2(a, b):
+    """Two-sample chi-square of two Counters of equal total, every cell below 10
+    draws over both samples lumped into one. Returns (chi2, cells, p-value)."""
+    rows = [[0, 0]]
+    for cell in a.keys() | b.keys():
+        if a[cell] + b[cell] >= 10:
+            rows.append([a[cell], b[cell]])
+        else:
+            rows[0][0] += a[cell]
+            rows[0][1] += b[cell]
+    table = np.array(rows, dtype=float)
+    total = table.sum(axis=1)
+    chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
+    return chi2, len(table), stats.chi2.sf(chi2, df=len(table) - 1)
+
+
+def observable_cells(datasets):
+    return Counter((h,) + s.e + s.n for _, ds in datasets for h, s in enumerate(ds.strata))
+
+
+def latent_cells(datasets):
+    return Counter(
+        (h,) + sum(latent.x, ()) for latents, _ in datasets for h, latent in enumerate(latents)
+    )
+
+
+# Small pools and small later sampling rates force a single review at tiers 2
+# and 3 in about half of the lanes. Stratum 0 has a class with rate 0 and a
+# first tier with pi = 1.
+LATER_FORCED = Scenario(
+    config=ReviewConfig(m=1.0, H=2, T=3),
+    strata=(
+        StratumParams(lambdas=(0.0, 1.0, 0.5, 2.0), pis=(1.0, 0.15, 0.2)),
+        StratumParams(lambdas=(2.0, 1.5, 1.0, 0.8), pis=(0.5, 0.1, 0.25)),
+    ),
+)
+LAW_REPS = 2 * 10**4
+
+
+def draw_datasets(generate, scen, root, reps=LAW_REPS):
+    return [generate(scen, root.child(i)) for i in range(reps)]
+
+
+@pytest.fixture(scope="module")
+def rare_reference():
+    # pi1=0.1 gives many forced single reviews and early terminations.
+    return draw_datasets(reference_generate_dataset, scenario_rare(0.1), RngStream(41))
+
+
+@pytest.fixture(scope="module")
+def later_forced_reference():
+    return draw_datasets(reference_generate_dataset, LATER_FORCED, RngStream(43))
+
+
 class TestBatchEngineAgreesInLaw:
+    """The batch sampler, and the latent tables completed from it, against the
+    sequential split loop in ``helpers``."""
+
     def test_tier_means_match_scalar_engine(self):
         scen = scenario_common(0.4)
         lam, pis = _scenario_arrays(scen)
-        reps = 2 * 10**4
+        reps = LAW_REPS
 
         e_batch, n_batch = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(4).generator)
         batch_means = {"e": e_batch.mean(axis=2), "n": n_batch.mean(axis=2)}
 
-        root = RngStream(5)
         scalar_sums = {"e": np.zeros((5, 4)), "n": np.zeros((5, 3))}
-        for i in range(reps):
-            _, ds = generate_dataset(scen, root.child(i))
+        for _, ds in draw_datasets(reference_generate_dataset, scen, RngStream(5)):
             scalar_sums["e"] += np.array([s.e for s in ds.strata])
             scalar_sums["n"] += np.array([s.n for s in ds.strata])
 
@@ -159,77 +225,48 @@ class TestBatchEngineAgreesInLaw:
                 se = math.sqrt(2 * max(batch_means["e"][h, t], 1e-9) / reps)
                 assert abs(value - scalar[h, t]) < 4 * se, (key, h, t)
 
-    def test_observable_tuples_match_scalar_engine(self):
-        # pi1=0.1 gives many forced single reviews and early terminations.
-        # Two-sample chi-square over the cells (stratum, e_0..e_T, n_1..n_T),
-        # with every cell expected below 5 per engine lumped into one.
-        scen = scenario_rare(0.1)
+    def test_observable_tuples_match_scalar_engine(self, rare_reference):
+        self.check_observable_tuples(scenario_rare(0.1), rare_reference, RngStream(40))
+
+    def test_observable_tuples_match_scalar_engine_with_later_forced_reviews(
+        self, later_forced_reference
+    ):
+        # checks the batch sampler's repair of unreviewed pools past the first tier
+        self.check_observable_tuples(LATER_FORCED, later_forced_reference, RngStream(42))
+
+    @staticmethod
+    def check_observable_tuples(scen, reference, rng):
+        # Two-sample chi-square over the cells (stratum, e_0..e_T, n_1..n_T).
         lam, pis = _scenario_arrays(scen)
-        reps = 2 * 10**4
-
-        e, n = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(40).generator)
+        e, n = _batch.generate_counts(lam, pis, 1.0, LAW_REPS, rng.generator)
         batch = Counter(
-            (h,) + tuple(e[h, :, r]) + tuple(n[h, :, r]) for h in range(5) for r in range(reps)
+            (h,) + tuple(e[h, :, r]) + tuple(n[h, :, r])
+            for h in range(len(lam)) for r in range(LAW_REPS)
         )
-        root = RngStream(41)
-        scalar = Counter()
-        for i in range(reps):
-            _, ds = generate_dataset(scen, root.child(i))
-            scalar.update((h,) + s.e + s.n for h, s in enumerate(ds.strata))
+        chi2, cells, pvalue = two_sample_chi2(batch, observable_cells(reference))
+        assert cells > 100
+        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {cells} cells, p={pvalue:.2e}"
 
-        rows = [[0, 0]]
-        for cell in batch.keys() | scalar.keys():
-            a, b = batch[cell], scalar[cell]
-            if a + b >= 10:
-                rows.append([a, b])
-            else:
-                rows[0][0] += a
-                rows[0][1] += b
-        table = np.array(rows, dtype=float)
-        assert len(table) > 100
-        total = table.sum(axis=1)
-        chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
-        pvalue = stats.chi2.sf(chi2, df=len(table) - 1)
-        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {len(table)} cells, p={pvalue:.2e}"
+    @pytest.mark.parametrize("scen, reference, seed", [
+        (scenario_rare(0.1), "rare_reference", 44),
+        (LATER_FORCED, "later_forced_reference", 45),
+    ], ids=["rare", "later-forced-reviews"])
+    def test_latent_tables_match_reference(self, request, scen, reference, seed):
+        # Two-sample chi-square over the cells (stratum, latent table), and the
+        # mean of every latent count within 4 combined standard errors: the
+        # rare scenario's tables are spread thin, so most of their mass lumps.
+        ref = request.getfixturevalue(reference)
+        new = draw_datasets(generate_dataset, scen, RngStream(seed))
+        chi2, cells, pvalue = two_sample_chi2(latent_cells(new), latent_cells(ref))
+        assert cells > 100
+        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {cells} cells, p={pvalue:.2e}"
 
-    def test_observable_tuples_match_scalar_engine_with_later_forced_reviews(self):
-        # Small pools and small later sampling rates force a single review at
-        # tiers 2 and 3 in about half of the lanes, so this case checks the
-        # batch sampler's repair of unreviewed pools past the first tier.
-        # Stratum 0 has a class with rate 0 and a first tier with pi = 1.
-        strata = (
-            StratumParams(lambdas=(0.0, 1.0, 0.5, 2.0), pis=(1.0, 0.15, 0.2)),
-            StratumParams(lambdas=(2.0, 1.5, 1.0, 0.8), pis=(0.5, 0.1, 0.25)),
-        )
-        scen = Scenario(config=ReviewConfig(m=1.0, H=2, T=3), strata=strata)
-        lam, pis = _scenario_arrays(scen)
-        reps = 2 * 10**4
+        def flat(datasets):
+            return np.array([[sum(x.x, ()) for x in latents] for latents, _ in datasets])
 
-        e, n = _batch.generate_counts(lam, pis, 1.0, reps, RngStream(42).generator)
-        batch = Counter(
-            (h,) + tuple(e[h, :, r]) + tuple(n[h, :, r]) for h in range(2) for r in range(reps)
-        )
-        root = RngStream(43)
-        scalar = Counter()
-        for i in range(reps):
-            _, ds = generate_dataset(scen, root.child(i))
-            scalar.update((h,) + s.e + s.n for h, s in enumerate(ds.strata))
-
-        # Two-sample chi-square, every cell below 10 draws over both engines lumped into one.
-        rows = [[0, 0]]
-        for cell in batch.keys() | scalar.keys():
-            a, b = batch[cell], scalar[cell]
-            if a + b >= 10:
-                rows.append([a, b])
-            else:
-                rows[0][0] += a
-                rows[0][1] += b
-        table = np.array(rows, dtype=float)
-        assert len(table) > 100
-        total = table.sum(axis=1)
-        chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
-        pvalue = stats.chi2.sf(chi2, df=len(table) - 1)
-        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {len(table)} cells, p={pvalue:.2e}"
+        a, b = flat(new), flat(ref)
+        se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / LAW_REPS)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se + 1e-12)
 
 
 class TestBatchSamplerMemory:

@@ -109,6 +109,9 @@ def test_interval_bounds_are_ordered(doc, seed):
 )
 def test_generated_stratum_is_valid(rates, m, seed):
     lambdas, pis = rates
-    _, stratum = generate_stratum(StratumParams(lambdas=lambdas, pis=pis), m, RngStream(seed))
+    latent, stratum = generate_stratum(StratumParams(lambdas=lambdas, pis=pis), m, RngStream(seed))
     check = validate_observed(stratum, tiers=len(pis))
     assert check, check.reason
+    # Zero rates give zero-tail rows, whose empty pools the completion must leave empty.
+    assert all(v >= 0 for row in latent.x for v in row)
+    assert latent.escalation_totals() == stratum.e
