@@ -13,15 +13,17 @@ Replications are vectorized: each (scenario, grid point) batch-generates all
 its replications on one child stream, and each replication's bootstrap runs
 on its own sub-stream. Cells run concurrently on a thread pool with one
 worker per usable CPU (numpy's samplers and scipy's quantile loops release
-the GIL); a cell's bootstrap replications are split into tasks of their
-own, so even a one-cell study uses every worker. A cell reads only its own
-stream subtree and rows are merged in canonical order (scenario, grid
-point, method), so a sweep is a pure function of its spec whatever the
+the GIL). With the bootstrap, a cell's data are drawn on the submitting
+thread and its replications are split into tasks that are independent of
+each other, so even a one-cell study uses every worker. A cell reads only
+its own stream subtree and rows are merged in canonical order (scenario,
+grid point, method), so a sweep is a pure function of its spec whatever the
 worker count or scheduling. Each generator is created on the submitting
-thread just before the task that draws from it is submitted, so the order
-in which streams come into being is fixed by the spec too, and only the
-tasks in flight hold bootstrap generators. On an exception or Ctrl-C, tasks
-already running finish and tasks not yet started never start.
+thread just before it is drawn from there or the task that draws from it
+is submitted, so the order in which streams come into being is fixed by the
+spec too, and only the tasks in flight hold bootstrap generators. On an
+exception or Ctrl-C, tasks already running finish and tasks not yet
+started never start.
 """
 
 from __future__ import annotations
@@ -239,43 +241,21 @@ def _draw_cell(
 
 
 def _bootstrap_chunk(
-    counts: Future,
-    start: int,
+    e: np.ndarray,
+    n: np.ndarray,
     m: float,
     spec: StudySpec,
     gens: Sequence[np.random.Generator],
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> None:
-    """Fill ``lower`` and ``upper`` with the bootstrap bounds of a cell's
-    replications from ``start`` on, one per generator in ``gens``, once
-    ``counts`` holds the cell's counts."""
-    e, n = counts.result()
-    for j, gen in enumerate(gens):
-        r = start + j
-        lower[j], upper[j] = _batch.bootstrap_bounds(
+    """Fill ``lower`` and ``upper`` with the bootstrap bounds of the
+    replications whose counts are ``e`` and ``n``, one per generator in
+    ``gens``."""
+    for r, gen in enumerate(gens):
+        lower[r], upper[r] = _batch.bootstrap_bounds(
             e[:, :, r], n[:, :, r], m, spec.level, spec.B, gen
         )
-
-
-def _draw_then_bootstrap(
-    draw: Callable[[], tuple[np.ndarray, np.ndarray]], counts: Future, *chunk
-) -> None:
-    """A bootstrap cell's first task: draw the cell's counts, hand them to its
-    other tasks through ``counts``, then run its own chunk."""
-    try:
-        counts.set_result(draw())
-    except BaseException as exc:
-        counts.set_exception(exc)
-        raise
-    _bootstrap_chunk(counts, *chunk)
-
-
-def _cancel_counts_with(counts: Future, first: Future) -> None:
-    """Done-callback of a bootstrap cell's first task: if the pool cancels it
-    before it starts, cancel ``counts`` too, so no task waits on them for ever."""
-    if first.cancelled():
-        counts.cancel()
 
 
 def _coverage_rows(
@@ -355,16 +335,18 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
     """Run a full coverage study and return its rows in canonical order.
 
     Fixed studies iterate the first-tier sampling grid; the comprehensive
-    study iterates freshly drawn scenarios. A cell's draws run on a thread
-    pool of at most one worker per usable CPU, as one task or, with the
-    bootstrap, one task per ``_BOOTSTRAP_CHUNK`` replications, the first of
-    which also draws the cell's data. At most a small multiple of the worker
-    count is submitted at a time; the rows do not depend on either.
+    study iterates freshly drawn scenarios. Without the bootstrap, a cell's
+    draw is one task on a thread pool of at most one worker per usable CPU.
+    With it, the cell's data are drawn on this thread, and its replications
+    are bootstrapped in tasks of ``_BOOTSTRAP_CHUNK``, none of which waits on
+    another. At most a small multiple of the worker count is submitted at a
+    time; the rows do not depend on either.
 
-    Every generator is made on this thread just before the task that draws
-    from it is submitted, in one order: per cell the scenario's, the
-    data's, then each replication's bootstrap. Only the tasks in flight hold
-    bootstrap generators, so at most a window's worth exist at once.
+    Every generator is made on this thread just before it is drawn from here
+    or the task that draws from it is submitted, in one order: per cell the
+    scenario's, the data's, then each replication's bootstrap. Only the
+    tasks in flight hold bootstrap generators, so at most a window's worth
+    exist at once.
     """
     n_cells = spec.num_scenarios if spec.source == "comprehensive" else len(spec.pi1_grid)
     bootstrap = "bootstrap" in spec.methods
@@ -382,12 +364,10 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
         if cell_rows is not None:
             rows.extend(cell_rows())
 
-    def submit(cell_rows: Callable[[], list[CoverageRow]] | None, fn: Callable, *args) -> Future:
+    def submit(cell_rows: Callable[[], list[CoverageRow]] | None, fn: Callable, *args) -> None:
         if len(in_flight) == _TASKS_IN_FLIGHT_PER_WORKER * workers:
             merge_oldest()
-        future = pool.submit(fn, *args)
-        in_flight.append((future, cell_rows))
-        return future
+        in_flight.append((pool.submit(fn, *args), cell_rows))
 
     try:
         for scenario, scenario_id, pi1, cell_stream in _cells(spec):
@@ -400,23 +380,17 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
             if not bootstrap:
                 submit(cell_rows, _draw_cell, scenario, spec, data_gen, bounds)
                 continue
-            # Allocated before any bootstrap generator is made, so a count of
-            # replications too large for memory fails here, not R objects later.
+            # Allocated before the draw and any bootstrap generator, so a count
+            # of replications too large for memory fails here, at once.
             lower, upper = bounds["bootstrap"] = (np.empty(R), np.empty(R))
-            # The cell's first task draws its counts and hands them to its other
-            # tasks, which wait for them. The pool starts tasks in submission
-            # order, so the first task has started before any task that waits.
-            counts: Future = Future()
-            draw = partial(_draw_cell, scenario, spec, data_gen, bounds)
+            e, n = _draw_cell(scenario, spec, data_gen, bounds)
             boot_root = cell_stream.child(1)
             for start in range(0, R, _BOOTSTRAP_CHUNK):
                 stop = min(start + _BOOTSTRAP_CHUNK, R)
                 gens = [boot_root.child(r).generator for r in range(start, stop)]
-                task = partial(_draw_then_bootstrap, draw) if start == 0 else _bootstrap_chunk
-                future = submit(cell_rows if stop == R else None, task, counts, start,
-                                scenario.config.m, spec, gens, lower[start:stop], upper[start:stop])
-                if start == 0:
-                    future.add_done_callback(partial(_cancel_counts_with, counts))
+                submit(cell_rows if stop == R else None, _bootstrap_chunk,
+                       e[:, :, start:stop], n[:, :, start:stop], scenario.config.m, spec,
+                       gens, lower[start:stop], upper[start:stop])
         while in_flight:
             merge_oldest()
     finally:

@@ -5,7 +5,7 @@ import math
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -231,20 +231,32 @@ POOL_SPECS = {
 class TestCellPool:
     @pytest.mark.parametrize("name", POOL_SPECS)
     def test_csv_does_not_depend_on_worker_count(self, monkeypatch, name):
-        threads = set()
-        draw_cell = study._draw_cell
+        threads = {"_draw_cell": set(), "bootstrap_bounds": set()}
 
-        def recording(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return draw_cell(*args, **kwargs)
+        def record(module, fn_name):
+            fn = getattr(module, fn_name)
 
-        monkeypatch.setattr(study, "_draw_cell", recording)
+            def recording(*args, **kwargs):
+                threads[fn_name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn_name, recording)
+
+        record(study, "_draw_cell")
+        record(_batch, "bootstrap_bounds")
         texts = []
         for workers in (1, 2, 5):
             monkeypatch.setattr(study, "_worker_count", lambda workers=workers: workers)
             texts.append(rows_to_csv(run_sweep(POOL_SPECS[name])))
         assert texts[0] == texts[1] == texts[2]
-        assert threads and threading.get_ident() not in threads
+        here = threading.get_ident()
+        if "bootstrap" in POOL_SPECS[name].methods:
+            # A bootstrap cell's data are drawn here; its replications on workers.
+            assert threads["_draw_cell"] == {here}
+            assert threads["bootstrap_bounds"] and here not in threads["bootstrap_bounds"]
+        else:
+            assert threads["_draw_cell"] and here not in threads["_draw_cell"]
+            assert not threads["bootstrap_bounds"]
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
         specs = list(POOL_SPECS.values())
@@ -327,23 +339,95 @@ class TestCellPool:
         assert max(started) < failing + window
 
     def test_failing_draw_stops_a_bootstrap_sweep(self, monkeypatch):
-        # A bootstrap cell's later tasks wait on the counts its first task
-        # draws; when that draw fails they fail with it, and the sweep raises.
+        # A bootstrap cell's data are drawn on the submitting thread, so a
+        # failing draw raises there, and neither that cell nor any later one
+        # gets a replication bootstrapped.
         error = RuntimeError("draw failed")
         draw_cell = study._draw_cell
+        bootstrap_bounds = _batch.bootstrap_bounds
+        calls = []
 
         def cell(scenario, spec, data_gen, bounds):
             if scenario.strata[0].pis[0] == 0.3:
                 raise error
             return draw_cell(scenario, spec, data_gen, bounds)
 
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return bootstrap_bounds(*args, **kwargs)
+
         monkeypatch.setattr(study, "_worker_count", lambda: 2)
         monkeypatch.setattr(study, "_draw_cell", cell)
+        monkeypatch.setattr(_batch, "bootstrap_bounds", counting)
         spec = StudySpec(source="fixed-common", pi1_grid=(0.1, 0.2, 0.3, 0.4, 0.5),
                          replications=3 * study._BOOTSTRAP_CHUNK, B=100, methods=("bootstrap",))
         with pytest.raises(RuntimeError) as excinfo:
             run_sweep(spec)
         assert excinfo.value is error
+        # Only replications of the two cells before the failing one can have run.
+        assert len(calls) <= 2 * spec.replications
+
+    def test_csv_does_not_depend_on_task_start_order(self, monkeypatch):
+        # A bootstrap cell's tasks wait on nothing, so a pool that starts its
+        # queued tasks newest first gives the same CSV as the default pool.
+        spec = StudySpec(source="fixed-common", pi1_grid=(0.2, 0.6),
+                         replications=3 * study._BOOTSTRAP_CHUNK, B=100,
+                         methods=("bootstrap", "wald"), master_seed=4)
+        want = rows_to_csv(run_sweep(spec))
+        monkeypatch.setattr(study, "_worker_count", lambda: 1)
+        monkeypatch.setattr(study, "ThreadPoolExecutor", NewestFirstPool)
+        got = []
+        sweep = threading.Thread(target=lambda: got.append(rows_to_csv(run_sweep(spec))),
+                                 daemon=True)
+        sweep.start()
+        sweep.join(timeout=60)
+        assert not sweep.is_alive(), "the sweep did not finish"
+        assert got == [want]
+
+
+class NewestFirstPool:
+    """A one-worker stand-in for ThreadPoolExecutor that starts the most
+    recently queued task first. Before each pick the worker pauses, so the
+    submitting thread has queued all it may. The worker is a daemon thread,
+    so a task that waits for ever cannot keep the interpreter alive."""
+
+    def __init__(self, max_workers, thread_name_prefix=""):
+        self._queue = []
+        self._ready = threading.Condition()
+        self._closed = False
+        self._worker = threading.Thread(target=self._work, daemon=True)
+        self._worker.start()
+
+    def submit(self, fn, *args):
+        future = Future()
+        with self._ready:
+            self._queue.append((future, fn, args))
+            self._ready.notify()
+        return future
+
+    def _work(self):
+        while True:
+            time.sleep(0.02)
+            with self._ready:
+                self._ready.wait_for(lambda: self._queue or self._closed)
+                if not self._queue:
+                    return
+                future, fn, args = self._queue.pop()
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+    def shutdown(self, cancel_futures=False):
+        with self._ready:
+            if cancel_futures:
+                for future, _, _ in self._queue:
+                    future.cancel()
+                self._queue.clear()
+            self._closed = True
+            self._ready.notify()
+        self._worker.join()
 
 
 class TestCsv:
