@@ -13,8 +13,9 @@ stratum's review tree (the final survivors, and per tier the rejected and the
 unreviewed events) is an independent Poisson count by thinning, and the
 counts are sums of leaves; lanes where a non-empty pool got no review are
 then repaired by the urn-composition identity (see ``generate_counts``). The
-bootstrap refits only theta on its replicates, through the same
-survival-rate recursion as ``estimate_counts``.
+bootstrap simulates from the fit its caller already holds, and refits only
+theta on its replicates, through the same survival-rate recursion as
+``estimate_counts``.
 
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
@@ -248,25 +249,23 @@ def gamma_bounds(
 
 
 def bootstrap_bounds(
-    e_obs: np.ndarray,
-    n_obs: np.ndarray,
+    lam: np.ndarray,
+    pis: np.ndarray,
     m: float,
     level: float,
     n_replicates: int,
     gen: np.random.Generator,
 ) -> tuple[float, float]:
-    """Plug-in parametric bootstrap interval for one observed dataset.
+    """Plug-in parametric bootstrap interval for one dataset from its fit.
 
-    Refits the generative parameters from the observed counts, simulates
-    ``n_replicates`` datasets from them in one batch, re-estimates the
-    aggregate rate on each, and returns the central quantiles. Replicates
+    ``lam`` and ``pis`` are the dataset's fitted class rates and sampling
+    rates, shaped as ``generate_counts`` takes them: one lane of the caller's
+    ``estimate_counts`` fit. Simulates ``n_replicates`` datasets from them in
+    one batch, refits only theta on each, by the recursion
+    ``estimate_counts`` uses, and returns the central quantiles. Replicates
     whose estimate is zero stay in the pool.
     """
-    fit = estimate_counts(e_obs[:, :, None], n_obs[:, :, None], m)
-    lam_plug = fit.lam[:, :, 0]
-    pi_plug = fit.pi_tier[:, :, 0]
-    e_b, n_b = generate_counts(lam_plug, pi_plug, m, n_replicates, gen)
-    # Only theta is refit on the replicates, by the recursion estimate_counts uses.
+    e_b, n_b = generate_counts(lam, pis, m, n_replicates, gen)
     *_, lam_T = _survival(e_b, n_b, m)
     theta_b = _strata_sum(lam_T)
     alpha = 1.0 - level

@@ -38,10 +38,8 @@ __all__ = [
 ]
 
 
-def fit_observed(
-    strata: Sequence[ObservedStratum], m: float
-) -> tuple[np.ndarray, np.ndarray, _batch.BatchEstimate]:
-    """Validate the counts and fit them as one lane: ``(e, n, fit)``, e and n stacked as ints."""
+def fit_observed(strata: Sequence[ObservedStratum], m: float) -> _batch.BatchEstimate:
+    """Validate the counts and fit them as one lane."""
     check_mileage(m)
     for h, stratum in enumerate(strata):
         check = validate_observed(stratum)
@@ -52,7 +50,7 @@ def fit_observed(
     with np.errstate(all="ignore"):  # check_estimable rejects what the errors produce
         fit = _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
     check_estimable(fit, m)
-    return e, n, fit
+    return fit
 
 
 def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -65,12 +63,12 @@ def estimate_Lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     The sequence is non-increasing; division by a review count only happens
     where the incoming pool was non-empty, which guarantees it is at least 1.
     """
-    return _rows(fit_observed((stratum,), m)[2].Lambda)[0]
+    return _rows(fit_observed((stratum,), m).Lambda)[0]
 
 
 def estimate_lambda(stratum: ObservedStratum, m: float) -> tuple[float, ...]:
     """Estimated per-class rates: differences of consecutive survival rates."""
-    return _rows(fit_observed((stratum,), m)[2].lam)[0]
+    return _rows(fit_observed((stratum,), m).lam)[0]
 
 
 def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
@@ -80,12 +78,12 @@ def estimate_pi(stratum: ObservedStratum) -> tuple[float, ...]:
     that downstream inverse-sampling weights stay finite (such strata
     contribute a zero rate anyway).
     """
-    return _rows(fit_observed((stratum,), 1.0)[2].pi_tier)[0]
+    return _rows(fit_observed((stratum,), 1.0).pi_tier)[0]
 
 
 def estimate_theta(dataset: Dataset) -> RateEstimate:
     """Full point estimate for a dataset: per-stratum rates, weights, and the aggregate."""
-    _, _, fit = fit_observed(dataset.strata, dataset.config.m)
+    fit = fit_observed(dataset.strata, dataset.config.m)
     return RateEstimate(
         Lambda_hat=_rows(fit.Lambda),
         lambda_hat=_rows(fit.lam),

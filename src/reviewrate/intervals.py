@@ -42,9 +42,10 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     """
     level = check_level(level)
     B = check_bootstrap_replicates(B)
-    e_obs, n_obs, _ = fit_observed(dataset.strata, dataset.config.m)
+    m = dataset.config.m
+    fit = fit_observed(dataset.strata, m)
     lower, upper = _batch.bootstrap_bounds(
-        e_obs, n_obs, dataset.config.m, level, B, rng.generator
+        fit.lam[:, :, 0], fit.pi_tier[:, :, 0], m, level, B, rng.generator
     )
     return IntervalResult(method="bootstrap", level=level, lower=lower, upper=upper)
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from ._batch import BatchEstimate
 
 __all__ = [
@@ -85,24 +87,53 @@ def check_estimable(fit: BatchEstimate, m: float) -> None:
 
 
 def check_bootstrap_replicates(B: int) -> int:
-    """Return ``B`` as an int, or raise if it is too few bootstrap replicates."""
-    B = int(B)
+    """Return ``B`` as an int, or raise if it is not an integer or too few bootstrap replicates."""
+    B = check_integer(B, "bootstrap replicates")
     if B < 100:
         raise InvalidDataError(f"bootstrap needs at least 100 replicates, got {B}")
     return B
 
 
-def _int_tuple(values: Iterable[Any], what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
+# Python's and numpy's real number types. ``float`` and ``int`` would also
+# convert strings and booleans; ``numbers.Real`` is several times slower to test.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, _NUMBER_TYPES) and not isinstance(v, bool)
+
+
+def _real(v: Any, what: str) -> float:
+    """Return ``v`` as a float, or raise unless it is a real number within float range."""
+    if _is_number(v):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise InvalidDataError(f"{what}: expected a number within float range, got {v!r}")
+
+
+def check_integer(v: Any, what: str) -> int:
+    """Return ``v`` as an int, or raise unless it is a real number with an integral value."""
+    if _is_number(v):
         try:
             i = int(v)
-        except (ValueError, OverflowError) as exc:
-            raise InvalidDataError(f"{what} must be integers, got {v!r}") from exc
-        if i != v:
-            raise InvalidDataError(f"{what} must be integers, got {v!r}")
-        out.append(i)
-    return tuple(out)
+        except (ValueError, OverflowError):  # NaN or an infinity
+            pass
+        else:
+            if i == v:
+                return i
+    raise InvalidDataError(f"{what}: expected an integer, got {v!r}")
+
+
+# The type tests spare plain ints and floats a call, which would be most of
+# the cost of reading a file.
+def _int_tuple(values: Iterable[Any], what: str) -> tuple[int, ...]:
+    return tuple(v if type(v) is int else check_integer(v, what) for v in values)
+
+
+def _float_tuple(values: Iterable[Any], what: str) -> tuple[float, ...]:
+    return tuple(float(v) if isinstance(v, float) else _real(v, what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -114,6 +145,9 @@ class ReviewConfig:
     T: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _real(self.m, "mileage m"))
+        object.__setattr__(self, "H", check_integer(self.H, "stratum count H"))
+        object.__setattr__(self, "T", check_integer(self.T, "tier count T"))
         check_mileage(self.m)
         if self.H < 1:
             raise InvalidDataError(f"stratum count must be at least 1, got {self.H!r}")
@@ -129,8 +163,8 @@ class StratumParams:
     pis: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "pis", tuple(float(v) for v in self.pis))
+        object.__setattr__(self, "lambdas", _float_tuple(self.lambdas, "rates"))
+        object.__setattr__(self, "pis", _float_tuple(self.pis, "sampling rates"))
         if len(self.lambdas) != len(self.pis) + 1:
             raise InvalidDataError(
                 f"expected one more rate than sampling rates, got {len(self.lambdas)} rates "
@@ -193,7 +227,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         try:
-            config = ReviewConfig(m=float(data["m"]), H=int(data["H"]), T=int(data["T"]))
+            config = ReviewConfig(m=data["m"], H=data["H"], T=data["T"])
             strata = tuple(
                 StratumParams(lambdas=tuple(s["lambdas"]), pis=tuple(s["pis"]))
                 for s in data["strata"]
@@ -342,7 +376,7 @@ class Dataset:
     @classmethod
     def from_dict(cls, data: dict) -> "Dataset":
         try:
-            m = float(data["m"])
+            m = data["m"]
             strata = tuple(
                 ObservedStratum(e=tuple(s["e"]), n=tuple(s["n"])) for s in data["strata"]
             )

@@ -9,13 +9,14 @@ comprehensive study instead randomizes all rates and sampling rates per
 scenario and is summarized in moving windows of the expected number of
 observed surviving events.
 
-Replications are vectorized: each (scenario, grid point) batch-generates all
-its replications on one child stream, and each replication's bootstrap runs
-on its own sub-stream. Cells run concurrently on a thread pool with one
-worker per usable CPU (numpy's samplers and scipy's quantile loops release
-the GIL). With the bootstrap, a cell's data are drawn on the submitting
-thread and its replications are split into tasks that are independent of
-each other, so even a one-cell study uses every worker. A cell reads only
+Replications are vectorized: each (scenario, grid point) batch-generates and
+fits all its replications on one child stream, and each replication's
+bootstrap simulates from that replication's lane of the fit, on its own
+sub-stream. Cells run concurrently on a thread pool with one worker per
+usable CPU (numpy's samplers and scipy's quantile loops release the GIL).
+With the bootstrap, a cell's data are drawn and fitted on the submitting
+thread and each replication's bootstrap is a task of its own, independent
+of the others, so even a one-cell study uses every worker. A cell reads only
 its own stream subtree and rows are merged in canonical order (scenario,
 grid point, method), so a sweep is a pure function of its spec whatever the
 worker count or scheduling. Each generator is created on the submitting
@@ -43,7 +44,7 @@ from . import _batch
 from .distributions import RngStream
 from .generator import _scenario_arrays
 from .model import CI_METHODS, InvalidDataError, ReviewConfig, Scenario, StratumParams
-from .model import check_bootstrap_replicates, check_level
+from .model import check_bootstrap_replicates, check_integer, check_level
 
 __all__ = [
     "StudySpec",
@@ -114,6 +115,8 @@ class StudySpec:
         object.__setattr__(self, "pi1_grid", tuple(float(p) for p in self.pi1_grid))
         if any(not 0 < p <= 1 for p in self.pi1_grid):
             raise InvalidDataError(f"grid values must lie in (0, 1], got {self.pi1_grid}")
+        for name in ("replications", "B", "num_scenarios"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.replications < 1:
             raise InvalidDataError(f"replications must be at least 1, got {self.replications}")
         check_level(self.level)
@@ -226,9 +229,9 @@ def _draw_cell(
     spec: StudySpec,
     data_gen: np.random.Generator,
     bounds: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw all replications of one cell, put its Wald and gamma bounds in
-    ``bounds`` and return its counts."""
+) -> _batch.BatchEstimate:
+    """Draw and fit all replications of one cell, put its Wald and gamma
+    bounds in ``bounds`` and return its fit."""
     lam, pis = _scenario_arrays(scenario)
     m = scenario.config.m
     e, n = _batch.generate_counts(lam, pis, m, spec.replications, data_gen)
@@ -237,25 +240,23 @@ def _draw_cell(
         bounds["wald"] = _batch.wald_bounds(est.theta, est.wald_var, spec.level)
     if "gamma_wsip" in spec.methods:
         bounds["gamma_wsip"] = _batch.gamma_bounds(est.theta, est.gamma_var, est.w_max, spec.level)
-    return e, n
+    return est
 
 
-def _bootstrap_chunk(
-    e: np.ndarray,
-    n: np.ndarray,
+def _bootstrap_replication(
+    est: _batch.BatchEstimate,
+    r: int,
     m: float,
     spec: StudySpec,
-    gens: Sequence[np.random.Generator],
+    gen: np.random.Generator,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> None:
-    """Fill ``lower`` and ``upper`` with the bootstrap bounds of the
-    replications whose counts are ``e`` and ``n``, one per generator in
-    ``gens``."""
-    for r, gen in enumerate(gens):
-        lower[r], upper[r] = _batch.bootstrap_bounds(
-            e[:, :, r], n[:, :, r], m, spec.level, spec.B, gen
-        )
+    """Put the bootstrap bounds of replication ``r``, simulated from its lane
+    of the cell's fit ``est``, in ``lower[r]`` and ``upper[r]``."""
+    lower[r], upper[r] = _batch.bootstrap_bounds(
+        est.lam[:, :, r], est.pi_tier[:, :, r], m, spec.level, spec.B, gen
+    )
 
 
 def _coverage_rows(
@@ -297,10 +298,6 @@ def _coverage_rows(
 # busy while the oldest task is awaited, without queueing a whole study.
 _TASKS_IN_FLIGHT_PER_WORKER = 2
 
-# Bootstrap replications per task. Their generators are made as the task is
-# submitted, so a sweep holds at most a window of tasks' worth of them.
-_BOOTSTRAP_CHUNK = 16
-
 
 def _worker_count() -> int:
     """CPUs this process may run on."""
@@ -337,10 +334,10 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
     Fixed studies iterate the first-tier sampling grid; the comprehensive
     study iterates freshly drawn scenarios. Without the bootstrap, a cell's
     draw is one task on a thread pool of at most one worker per usable CPU.
-    With it, the cell's data are drawn on this thread, and its replications
-    are bootstrapped in tasks of ``_BOOTSTRAP_CHUNK``, none of which waits on
-    another. At most a small multiple of the worker count is submitted at a
-    time; the rows do not depend on either.
+    With it, the cell's data are drawn and fitted on this thread, and each
+    replication is bootstrapped from its lane of that fit in a task of its
+    own, none of which waits on another. At most a small multiple of the
+    worker count is submitted at a time; the rows do not depend on either.
 
     Every generator is made on this thread just before it is drawn from here
     or the task that draws from it is submitted, in one order: per cell the
@@ -351,7 +348,7 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
     n_cells = spec.num_scenarios if spec.source == "comprehensive" else len(spec.pi1_grid)
     bootstrap = "bootstrap" in spec.methods
     R = spec.replications
-    tasks = n_cells * (-(-R // _BOOTSTRAP_CHUNK) if bootstrap else 1)
+    tasks = n_cells * (R if bootstrap else 1)
     workers = max(1, min(_worker_count(), tasks))
     rows: list[CoverageRow] = []
     # Each task's future, with its cell's rows when it is the cell's last task.
@@ -383,14 +380,11 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
             # Allocated before the draw and any bootstrap generator, so a count
             # of replications too large for memory fails here, at once.
             lower, upper = bounds["bootstrap"] = (np.empty(R), np.empty(R))
-            e, n = _draw_cell(scenario, spec, data_gen, bounds)
+            est = _draw_cell(scenario, spec, data_gen, bounds)
             boot_root = cell_stream.child(1)
-            for start in range(0, R, _BOOTSTRAP_CHUNK):
-                stop = min(start + _BOOTSTRAP_CHUNK, R)
-                gens = [boot_root.child(r).generator for r in range(start, stop)]
-                submit(cell_rows if stop == R else None, _bootstrap_chunk,
-                       e[:, :, start:stop], n[:, :, start:stop], scenario.config.m, spec,
-                       gens, lower[start:stop], upper[start:stop])
+            for r in range(R):
+                submit(cell_rows if r == R - 1 else None, _bootstrap_replication, est, r,
+                       scenario.config.m, spec, boot_root.child(r).generator, lower, upper)
         while in_flight:
             merge_oldest()
     finally:
@@ -426,7 +420,7 @@ def summarize_comprehensive(
     in the rows. Centers whose window is empty are emitted with the skipped
     flag set.
     """
-    if window <= 0:
+    if not window > 0:
         raise InvalidDataError(f"window must be positive, got {window!r}")
     by_method: dict[str, list[CoverageRow]] = {}
     for row in rows:

@@ -86,12 +86,34 @@ class TestGenerate:
         '{"m": 1.0, "H": "x", "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
         # each rate is within the limit, but the pool's rate, their sum, is not
         '{"m": 1, "H": 1, "T": 1, "strata": [{"lambdas": [5e18, 5e18], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1.7, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1, "T": 1.5, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": true, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": "2", "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": "12", "pis": "1"}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1, "2"], "pis": [0.5]}]}',
+        '{"m": true, "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1, true], "pis": [0.5]}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1, 2], "pis": [true]}]}',
+        '{"m": 1.0, "H": 1, "T": 1, "strata": [{"lambdas": [1, 1%s], "pis": [0.5]}]}'
+        % ("0" * 400),
     ], ids=["infinite-mileage", "rate-above-poisson-limit", "non-integer-stratum-count",
-            "pool-rate-above-poisson-limit"])
+            "pool-rate-above-poisson-limit", "non-integral-stratum-count",
+            "non-integral-tier-count", "boolean-stratum-count", "string-mileage",
+            "string-rates", "string-rate", "boolean-mileage", "boolean-rate",
+            "boolean-sampling-rate", "rate-beyond-float-range"])
     def test_out_of_range_scenario_is_validation_error(self, tmp_path, text):
         spath = tmp_path / "scenario.json"
         spath.write_text(text)
         assert main(["generate", str(spath), "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        spath = tmp_path / "scenario.json"
+        spath.write_text('{"m": 2, "H": 1.0, "T": 2.0, '
+                         '"strata": [{"lambdas": [1, 2, 3], "pis": [0.5, 1]}]}')
+        out = tmp_path / "x.json"
+        assert main(["generate", str(spath), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["strata"][0]["n"]) == 2
 
     @pytest.mark.parametrize("lambdas", [[1e12, 2, 3], [4e15, 4e15, 1]],
                              ids=["class-beyond-1e9", "pool-near-2**53"])
@@ -172,8 +194,14 @@ class TestEstimate:
         ('{"m": 1.0, "strata": [{"e": [Infinity, 1], "n": [1]}]}', "bootstrap"),
         ('{"m": 1.0, "strata": [{"e": ["a", 1], "n": [1]}]}', "bootstrap"),
         ('{"m": 1e-320, "strata": [{"e": [6, 3], "n": [3]}]}', "bootstrap"),
+        ('{"m": "1", "strata": [{"e": [6, 3], "n": [3]}]}', "all"),
+        ('{"m": true, "strata": [{"e": [6, 3], "n": [3]}]}', "all"),
+        ('{"m": 1.0, "strata": [{"e": [true, 1], "n": [true]}]}', "all"),
+        ('{"m": 1%s, "strata": [{"e": [6, 3], "n": [3]}]}' % ("0" * 400), "all"),
     ], ids=["count-above-2**53-bootstrap", "count-above-2**53-wald", "infinite-mileage",
-            "nan-count", "infinite-count", "string-count", "subnormal-mileage-bootstrap"])
+            "nan-count", "infinite-count", "string-count", "subnormal-mileage-bootstrap",
+            "string-mileage", "boolean-mileage", "boolean-counts",
+            "mileage-beyond-float-range"])
     def test_out_of_range_dataset_is_validation_error(self, tmp_path, text, ci):
         dpath = tmp_path / "d.json"
         dpath.write_text(text)

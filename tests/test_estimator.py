@@ -196,6 +196,10 @@ class TestEstimateProperties:
                 assert one.theta[0] == batch.theta[r] == theta
                 assert one.wald_var[0] == batch.wald_var[r] == wald_var
                 assert one.gamma_var[0] == batch.gamma_var[r] == gamma_var
+                # The bootstrap simulates from lane r of the R-lane fit.
+                for field in ("Lambda", "lam", "pi_tier"):
+                    lane = getattr(batch, field)[:, :, r]
+                    assert lane.tobytes() == getattr(one, field)[:, :, 0].tobytes()
 
     def test_unbiasedness_smoke(self):
         # a reduced-size version of the acceptance check

@@ -149,6 +149,8 @@ class TestBootstrap:
             ci_bootstrap(EMPTY, 0.9, 50, RngStream(1))
         with pytest.raises(InvalidDataError):
             ci_bootstrap(EMPTY, 1.5, 500, RngStream(1))
+        with pytest.raises(InvalidDataError):
+            ci_bootstrap(EMPTY, 0.9, 150.5, RngStream(1))
 
 
 class TestSharedProperties:

@@ -1,5 +1,6 @@
 """Tests for the domain types, validation, and JSON round trips."""
 
+import numpy as np
 import pytest
 
 from reviewrate import (
@@ -174,6 +175,15 @@ class TestDataset:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(InvalidDataError):
             Dataset.from_dict({"m": 1.0, "strata": [{"e": [1.5, 1], "n": [1]}]})
+
+    def test_numpy_scalars_accepted(self):
+        config = ReviewConfig(m=np.float64(2.0), H=np.int64(1), T=np.float64(3.0))
+        stratum = ObservedStratum(e=np.array([6, 3, 2, 1]), n=np.array([3.0, 2.0, 1.0]))
+        ds = Dataset(config=config, strata=(stratum,))
+        assert ds == Dataset(config=ReviewConfig(m=2.0, H=1, T=3), strata=(self._stratum(),))
+        assert type(config.H) is int and type(config.T) is int and type(config.m) is float
+        params = StratumParams(lambdas=np.array([1, 2.5]), pis=np.array([0.5]))
+        assert params.lambdas == (1.0, 2.5) and type(params.lambdas[0]) is float
 
 
 class TestIntervalResult:

@@ -116,10 +116,19 @@ class TestStudySpec:
         dict(source="fixed-rare", methods=("magic",)),
         dict(source="fixed-rare", B=10),
         dict(source="comprehensive", num_scenarios=0),
+        dict(source="fixed-rare", replications=2.5),
+        dict(source="fixed-rare", B=150.5),
+        dict(source="comprehensive", num_scenarios=1.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidDataError):
             StudySpec(**kwargs)
+
+    def test_integral_counts_are_stored_as_ints(self):
+        spec = StudySpec(source="comprehensive", replications=4.0, B=np.int64(200),
+                         num_scenarios=3.0)
+        assert (spec.replications, spec.B, spec.num_scenarios) == (4, 200, 3)
+        assert all(type(v) is int for v in (spec.replications, spec.B, spec.num_scenarios))
 
 
 class TestRunSweep:
@@ -171,11 +180,8 @@ class TestRunSweep:
     def test_theta_only_refit_leaves_the_csv_unchanged(self, monkeypatch):
         # The bootstrap refits only theta on its replicates; refitting them
         # with the full estimator must give the same bytes.
-        def full_refit_bounds(e_obs, n_obs, m, level, n_replicates, gen):
-            fit = _batch.estimate_counts(e_obs[:, :, None], n_obs[:, :, None], m)
-            e_b, n_b = _batch.generate_counts(
-                fit.lam[:, :, 0], fit.pi_tier[:, :, 0], m, n_replicates, gen
-            )
+        def full_refit_bounds(lam, pis, m, level, n_replicates, gen):
+            e_b, n_b = _batch.generate_counts(lam, pis, m, n_replicates, gen)
             theta_b = _batch.estimate_counts(e_b, n_b, m).theta
             alpha = 1.0 - level
             lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -360,7 +366,7 @@ class TestCellPool:
         monkeypatch.setattr(study, "_draw_cell", cell)
         monkeypatch.setattr(_batch, "bootstrap_bounds", counting)
         spec = StudySpec(source="fixed-common", pi1_grid=(0.1, 0.2, 0.3, 0.4, 0.5),
-                         replications=3 * study._BOOTSTRAP_CHUNK, B=100, methods=("bootstrap",))
+                         replications=8, B=100, methods=("bootstrap",))
         with pytest.raises(RuntimeError) as excinfo:
             run_sweep(spec)
         assert excinfo.value is error
@@ -371,7 +377,7 @@ class TestCellPool:
         # A bootstrap cell's tasks wait on nothing, so a pool that starts its
         # queued tasks newest first gives the same CSV as the default pool.
         spec = StudySpec(source="fixed-common", pi1_grid=(0.2, 0.6),
-                         replications=3 * study._BOOTSTRAP_CHUNK, B=100,
+                         replications=8, B=100,
                          methods=("bootstrap", "wald"), master_seed=4)
         want = rows_to_csv(run_sweep(spec))
         monkeypatch.setattr(study, "_worker_count", lambda: 1)
@@ -484,3 +490,5 @@ class TestSummarizeComprehensive:
     def test_invalid_window(self):
         with pytest.raises(InvalidDataError):
             summarize_comprehensive([make_row(1.0)], window=0.0)
+        with pytest.raises(InvalidDataError):
+            summarize_comprehensive([make_row(1.0)], window=float("nan"))
