@@ -1,13 +1,12 @@
-"""Seeded random streams plus the exact samplers and quantile functions the model needs.
+"""Seeded random streams, exact scalar samplers and quantile functions.
 
-Sampling is delegated to :class:`numpy.random.Generator`, whose Poisson,
-binomial and hypergeometric samplers are exact (no normal approximation at
-large rates) within numpy's parameter limits: the Poisson rate must stay
-below about 9.2e18, and the hypergeometric needs both the drawn class and
-the rest of the pool below 1e9 items. Quantiles go through
-``scipy.special`` rather than ``scipy.stats`` to keep per-call overhead low
-in tight loops, and it is imported on first use: scipy is most of the
-package's import time, and generating data needs none of it.
+No package code draws from the scalar samplers: the simulator is the batch
+sampler in ``_batch``. They delegate to numpy's exact samplers (no normal
+approximation at large rates), which need a Poisson rate below about 9.2e18
+and, for the hypergeometric, both the drawn class and the rest of the pool
+below 1e9 items. Quantiles go through ``scipy.special``, not ``scipy.stats``,
+for low per-call overhead in tight loops. It is imported on first use: scipy
+is most of the package's import time, and generating data needs none of it.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _batch
+from .model import InvalidDataError, _int_tuple, _real, check_integer
 
 __all__ = [
     "RngStream",
@@ -29,8 +29,6 @@ __all__ = [
     "empirical_quantile",
 ]
 
-_MAX_SEED = 2**64
-
 
 class RngStream:
     """A reproducible random stream addressed by ``(master_seed, path)``.
@@ -38,28 +36,28 @@ class RngStream:
     Two streams with the same address produce identical draw sequences;
     streams at different paths are statistically independent. ``child``
     extends the path, so concurrent tasks can each own a disjoint subtree
-    of streams without any coordination. The underlying generator is
-    created lazily and is stateful: consecutive draws from one stream
-    advance its state, which is why a stream must not be shared between
-    concurrent tasks.
+    of streams without any coordination. The generator is created lazily
+    and is stateful, so a stream must not be shared between concurrent
+    tasks. A seed outside ``[0, 2**64)`` or a path entry that is not a
+    non-negative integer raises :class:`~reviewrate.InvalidDataError`.
     """
 
     __slots__ = ("master_seed", "path", "_generator")
 
     def __init__(self, master_seed: int, path: Sequence[int] = ()) -> None:
-        seed = int(master_seed)
-        if not 0 <= seed < _MAX_SEED:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
-        key = tuple(int(i) for i in path)
+        seed = check_integer(master_seed, "master_seed")
+        if not 0 <= seed < 2**64:
+            raise InvalidDataError(f"master_seed must lie in [0, 2**64), got {master_seed!r}")
+        key = _int_tuple(path, "path entries")
         if any(i < 0 for i in key):
-            raise ValueError(f"path entries must be non-negative integers, got {path!r}")
+            raise InvalidDataError(f"path entries must be non-negative integers, got {path!r}")
         self.master_seed = seed
         self.path = key
         self._generator: np.random.Generator | None = None
 
     def child(self, *indices: int) -> "RngStream":
         """Return a fresh stream whose path extends this one by ``indices``."""
-        return RngStream(self.master_seed, self.path + tuple(int(i) for i in indices))
+        return RngStream(self.master_seed, self.path + indices)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -74,9 +72,9 @@ class RngStream:
 
 def sample_poisson(rate: float, rng: RngStream) -> int:
     """Draw an exact Poisson variate with the given mean. ``rate == 0`` yields 0."""
-    rate = float(rate)
+    rate = _real(rate, "Poisson rate")
     if not math.isfinite(rate) or rate < 0:
-        raise ValueError(f"Poisson rate must be finite and non-negative, got {rate!r}")
+        raise InvalidDataError(f"Poisson rate must be finite and non-negative, got {rate!r}")
     if rate == 0.0:
         return 0
     return int(rng.generator.poisson(rate))
@@ -84,12 +82,12 @@ def sample_poisson(rate: float, rng: RngStream) -> int:
 
 def sample_binomial(n: int, p: float, rng: RngStream) -> int:
     """Draw an exact Binomial(n, p) variate."""
-    n = int(n)
-    p = float(p)
+    n = check_integer(n, "binomial trial count")
+    p = _real(p, "binomial success probability")
     if n < 0:
-        raise ValueError(f"binomial trial count must be non-negative, got {n}")
+        raise InvalidDataError(f"binomial trial count must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binomial success probability must lie in [0, 1], got {p!r}")
+        raise InvalidDataError(f"binomial success probability must lie in [0, 1], got {p!r}")
     return int(rng.generator.binomial(n, p))
 
 
@@ -103,15 +101,15 @@ def sample_mv_hypergeometric(
     hypergeometric given the items still undrawn, which is exact in law and
     costs one univariate draw per class.
     """
-    counts = [int(c) for c in class_counts]
-    n_draw = int(n_draw)
+    counts = _int_tuple(class_counts, "class counts")
+    n_draw = check_integer(n_draw, "n_draw")
     if any(c < 0 for c in counts):
-        raise ValueError(f"class counts must be non-negative, got {class_counts!r}")
+        raise InvalidDataError(f"class counts must be non-negative, got {class_counts!r}")
     if n_draw < 0:
-        raise ValueError(f"n_draw must be non-negative, got {n_draw}")
+        raise InvalidDataError(f"n_draw must be non-negative, got {n_draw}")
     total = sum(counts)
     if n_draw > total:
-        raise ValueError(f"cannot draw {n_draw} items from a pool of {total}")
+        raise InvalidDataError(f"cannot draw {n_draw} items from a pool of {total}")
 
     gen = rng.generator
     remaining_pool = total
@@ -135,23 +133,23 @@ def gamma_quantile(p: float, mean: float, variance: float) -> float:
     scale = variance/mean. Callers must handle the degenerate mean = 0 case
     themselves; it is rejected here.
     """
-    p = float(p)
-    mean = float(mean)
-    variance = float(variance)
+    p = _real(p, "quantile probability")
+    mean = _real(mean, "gamma mean")
+    variance = _real(variance, "gamma variance")
     if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must lie in (0, 1), got {p!r}")
+        raise InvalidDataError(f"quantile probability must lie in (0, 1), got {p!r}")
     if not (mean > 0.0 and math.isfinite(mean)):
-        raise ValueError(f"gamma mean must be positive and finite, got {mean!r}")
+        raise InvalidDataError(f"gamma mean must be positive and finite, got {mean!r}")
     if not (variance > 0.0 and math.isfinite(variance)):
-        raise ValueError(f"gamma variance must be positive and finite, got {variance!r}")
+        raise InvalidDataError(f"gamma variance must be positive and finite, got {variance!r}")
     return float(_batch.moment_gamma_quantile(p, mean, variance))
 
 
 def normal_quantile(p: float) -> float:
     """Standard normal inverse CDF."""
-    p = float(p)
+    p = _real(p, "quantile probability")
     if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must lie in (0, 1), got {p!r}")
+        raise InvalidDataError(f"quantile probability must lie in (0, 1), got {p!r}")
     from scipy.special import ndtri
 
     return float(ndtri(p))
@@ -165,8 +163,8 @@ def empirical_quantile(values: Sequence[float], p: float) -> float:
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise ValueError("cannot take a quantile of an empty sequence")
-    p = float(p)
+        raise InvalidDataError("cannot take a quantile of an empty sequence")
+    p = _real(p, "quantile probability")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"quantile probability must lie in [0, 1], got {p!r}")
+        raise InvalidDataError(f"quantile probability must lie in [0, 1], got {p!r}")
     return float(np.quantile(arr, p))

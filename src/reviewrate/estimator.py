@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _batch
 from .model import Dataset, InvalidDataError, ObservedStratum, RateEstimate
-from .model import check_estimable, check_mileage, validate_observed
+from .model import _float_tuple, check_estimable, check_mileage, validate_observed
 
 __all__ = [
     "estimate_Lambda",
@@ -40,7 +40,7 @@ __all__ = [
 
 def fit_observed(strata: Sequence[ObservedStratum], m: float) -> _batch.BatchEstimate:
     """Validate the counts and fit them as one lane."""
-    check_mileage(m)
+    m = check_mileage(m)
     for h, stratum in enumerate(strata):
         check = validate_observed(stratum)
         if not check:
@@ -119,11 +119,12 @@ def em_fixed_point_residual_t2(
     if e[0] < 1 or e[1] < 1:
         raise InvalidDataError("the fixed-point system needs a non-terminated stratum (e_0, e_1 >= 1)")
 
-    lam0, lam1, lam2 = (float(v) * float(m) for v in lambdas)
+    m = check_mileage(m)
+    lam0, lam1, lam2 = (v * m for v in _float_tuple(lambdas, "candidate rates"))
     total = lam0 + lam1 + lam2
     tail = lam1 + lam2
     if total <= 0:
-        raise ValueError("the candidate rates must have positive total mass")
+        raise InvalidDataError("the candidate rates must have positive total mass")
 
     def tail_share(lam: float) -> float:
         return lam / tail if tail > 0 else 0.0

@@ -64,7 +64,7 @@ def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def _simulate(
     lam: np.ndarray, pis: np.ndarray, m: float, rng: RngStream
 ) -> tuple[tuple[LatentTable, ...], tuple[ObservedStratum, ...]]:
-    check_mileage(m)
+    m = check_mileage(m)
     gen = rng.generator
     e, n = _batch.generate_counts(lam, pis, m, 1, gen)
     e, n = e[:, :, 0], n[:, :, 0]

@@ -61,7 +61,7 @@ def ci_wald(
     A zero estimate yields the degenerate interval (0, 0).
     """
     level = check_level(level)
-    check_mileage(m)
+    m = check_mileage(m)
     variance = _batch.wald_variance(
         _column(estimate.theta_by_stratum), _column(estimate.pi_prod), m
     )

@@ -46,18 +46,20 @@ class InvalidDataError(ValueError):
 
 def check_level(level: float) -> float:
     """Return ``level`` as a float, or raise if it is not a confidence level in (0, 1)."""
-    level = float(level)
+    level = _real(level, "confidence level")
     if not 0.0 < level < 1.0:
         raise InvalidDataError(f"confidence level must lie in (0, 1), got {level!r}")
     return level
 
 
-def check_mileage(m: float) -> None:
-    """Raise unless the mileage is positive and finite, and so is its reciprocal."""
+def check_mileage(m: float) -> float:
+    """Return ``m`` as a float, or raise unless it and its reciprocal are positive and finite."""
+    m = _real(m, "mileage m")
     if not (m > 0 and math.isfinite(m) and math.isfinite(1.0 / m)):
         raise InvalidDataError(
             f"mileage must be positive and finite with a finite reciprocal, got {m!r}"
         )
+    return m
 
 
 def check_estimable(fit: BatchEstimate, m: float) -> None:
@@ -145,10 +147,9 @@ class ReviewConfig:
     T: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _real(self.m, "mileage m"))
+        object.__setattr__(self, "m", check_mileage(self.m))
         object.__setattr__(self, "H", check_integer(self.H, "stratum count H"))
         object.__setattr__(self, "T", check_integer(self.T, "tier count T"))
-        check_mileage(self.m)
         if self.H < 1:
             raise InvalidDataError(f"stratum count must be at least 1, got {self.H!r}")
         if self.T < 1:
@@ -201,8 +202,8 @@ class Scenario:
                 raise InvalidDataError(
                     f"stratum {i} has {s.tiers} tiers, expected {self.config.T}"
                 )
-            # The pool e_0 is Poisson at this rate in both samplers, and its
-            # count must fit the int64 arrays that hold it.
+            # The pool e_0 is Poisson at this rate in the batch sampler, and
+            # its count must fit the int64 arrays that hold it.
             rate = self.config.m * sum(s.lambdas)
             if not rate <= _MAX_POISSON_RATE:
                 raise InvalidDataError(
@@ -430,7 +431,7 @@ class IntervalResult:
             raise InvalidDataError(
                 f"unknown interval method {self.method!r}; expected one of {CI_METHODS}"
             )
-        check_level(self.level)
+        object.__setattr__(self, "level", check_level(self.level))
         if not self.lower <= self.upper:
             raise InvalidDataError(
                 f"interval bounds are inverted: ({self.lower!r}, {self.upper!r})"

@@ -44,7 +44,7 @@ from . import _batch
 from .distributions import RngStream
 from .generator import _scenario_arrays
 from .model import CI_METHODS, InvalidDataError, ReviewConfig, Scenario, StratumParams
-from .model import check_bootstrap_replicates, check_integer, check_level
+from .model import _float_tuple, _real, check_bootstrap_replicates, check_integer, check_level
 
 __all__ = [
     "StudySpec",
@@ -112,14 +112,15 @@ class StudySpec:
             raise InvalidDataError(
                 f"unknown study source {self.source!r}; expected one of {STUDY_SOURCES}"
             )
-        object.__setattr__(self, "pi1_grid", tuple(float(p) for p in self.pi1_grid))
+        object.__setattr__(self, "pi1_grid", _float_tuple(self.pi1_grid, "grid values"))
         if any(not 0 < p <= 1 for p in self.pi1_grid):
             raise InvalidDataError(f"grid values must lie in (0, 1], got {self.pi1_grid}")
         for name in ("replications", "B", "num_scenarios"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.replications < 1:
             raise InvalidDataError(f"replications must be at least 1, got {self.replications}")
-        check_level(self.level)
+        object.__setattr__(self, "level", check_level(self.level))
+        object.__setattr__(self, "master_seed", RngStream(self.master_seed).master_seed)
         object.__setattr__(self, "methods", tuple(self.methods))
         for method in self.methods:
             if method not in CI_METHODS:
@@ -183,7 +184,7 @@ def scenario_rare(pi1: float = 1.0) -> Scenario:
 
 def _fixed_scenario(lambdas: tuple[tuple[float, ...], ...], pi1: float) -> Scenario:
     strata = tuple(
-        StratumParams(lambdas=row, pis=(float(pi1),) + upper)
+        StratumParams(lambdas=row, pis=(pi1,) + upper)
         for row, upper in zip(lambdas, _UPPER_TIER_PIS)
     )
     return Scenario(config=ReviewConfig(m=1.0, H=5, T=3), strata=strata)
@@ -345,11 +346,9 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
     tasks in flight hold bootstrap generators, so at most a window's worth
     exist at once.
     """
-    n_cells = spec.num_scenarios if spec.source == "comprehensive" else len(spec.pi1_grid)
     bootstrap = "bootstrap" in spec.methods
     R = spec.replications
-    tasks = n_cells * (R if bootstrap else 1)
-    workers = max(1, min(_worker_count(), tasks))
+    workers = _worker_count()
     rows: list[CoverageRow] = []
     # Each task's future, with its cell's rows when it is the cell's last task.
     in_flight: deque[tuple[Future, Callable[[], list[CoverageRow]] | None]] = deque()
@@ -420,7 +419,7 @@ def summarize_comprehensive(
     in the rows. Centers whose window is empty are emitted with the skipped
     flag set.
     """
-    if not window > 0:
+    if not _real(window, "window") > 0:
         raise InvalidDataError(f"window must be positive, got {window!r}")
     by_method: dict[str, list[CoverageRow]] = {}
     for row in rows:
@@ -432,7 +431,7 @@ def summarize_comprehensive(
             continue
         method_rows = by_method[method]
         xs = np.array([r.expected_tp for r in method_rows])
-        centers = sorted(set(xs.tolist())) if grid is None else [float(g) for g in grid]
+        centers = sorted(set(xs.tolist())) if grid is None else _float_tuple(grid, "grid")
         values = {
             metric: np.array([getattr(r, metric) for r in method_rows])
             for metric in _WINDOW_METRICS

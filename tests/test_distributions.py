@@ -9,6 +9,7 @@ from scipy.special import gammainc
 from helpers import mp_gamma_quantile
 
 from reviewrate import (
+    InvalidDataError,
     RngStream,
     empirical_quantile,
     gamma_quantile,
@@ -56,6 +57,10 @@ class TestRngStream:
             RngStream(2**64)
         with pytest.raises(ValueError):
             RngStream(0, (-1,))
+        # Seeds and path entries are integers, not anything int() accepts.
+        for args in ((2.7,), ("5",), (True,), (0, (1.5,))):
+            with pytest.raises(InvalidDataError):
+                RngStream(*args)
 
 
 class TestSamplePoisson:
@@ -171,6 +176,8 @@ class TestGammaQuantile:
         for args in ((0.0, 1, 1), (1.0, 1, 1), (0.5, 0, 1), (0.5, -2, 1), (0.5, 1, 0)):
             with pytest.raises(ValueError):
                 gamma_quantile(*args)
+        with pytest.raises(InvalidDataError):
+            gamma_quantile("0.5", 1.0, 1.0)
 
     def test_against_high_precision_inversion(self):
         for mean, variance in ((1.0, 1.0), (3.0, 0.5), (0.2, 0.7), (58.0, 900.0), (11.0, 11.0)):

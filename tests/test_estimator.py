@@ -50,6 +50,8 @@ class TestEstimateLambdaCapital:
     def test_invalid_mileage(self):
         with pytest.raises(InvalidDataError):
             estimate_Lambda(ObservedStratum(e=(5, 1), n=(3,)), 0.0)
+        with pytest.raises(InvalidDataError):
+            estimate_Lambda(ObservedStratum(e=(5, 1), n=(3,)), "1")
 
 
 class TestEstimateLambda:
@@ -253,6 +255,10 @@ class TestEmFixedPointResidual:
             em_fixed_point_residual_t2(ObservedStratum(e=(6, 0, 0), n=(3, 0)), (1, 1, 1))
         with pytest.raises(ValueError):
             em_fixed_point_residual_t2(ObservedStratum(e=(6, 3, 2), n=(3, 2)), (0.0, 0.0, 0.0))
+        s = ObservedStratum(e=(6, 3, 2), n=(3, 2))
+        for lambdas, m in (((1, 1, 1), "2"), ((1, 1, 1), -1), (("1", "1", "1"), 1.0)):
+            with pytest.raises(InvalidDataError):
+                em_fixed_point_residual_t2(s, lambdas, m)
 
     def test_randomized_mle_verification(self):
         # smaller version of the acceptance criterion

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from reviewrate import (
+    InvalidDataError,
     RngStream,
     ReviewConfig,
     Scenario,
@@ -92,6 +93,8 @@ class TestGenerateStratum:
         params = StratumParams(lambdas=(1.0, 1.0), pis=(0.5,))
         with pytest.raises(ValueError):
             generate_stratum(params, 0.0, RngStream(1))
+        with pytest.raises(InvalidDataError):
+            generate_stratum(params, "1", RngStream(1))
 
 
 class TestGenerateDataset:

@@ -68,6 +68,10 @@ class TestWald:
         for level in (0.0, 1.0, 1.5):
             with pytest.raises(InvalidDataError):
                 ci_wald(est, 1.0, level)
+        # A mileage or level that is not a real number is rejected, not coerced.
+        for m, level in (("2", 0.9), (True, 0.9), (1.0, "0.9")):
+            with pytest.raises(InvalidDataError):
+                ci_wald(est, m, level)
 
 
 class TestGammaWsip:
@@ -151,6 +155,8 @@ class TestBootstrap:
             ci_bootstrap(EMPTY, 1.5, 500, RngStream(1))
         with pytest.raises(InvalidDataError):
             ci_bootstrap(EMPTY, 0.9, 150.5, RngStream(1))
+        with pytest.raises(InvalidDataError):
+            ci_bootstrap(EMPTY, "0.9", 200, RngStream(1))
 
 
 class TestSharedProperties:

@@ -119,6 +119,11 @@ class TestStudySpec:
         dict(source="fixed-rare", replications=2.5),
         dict(source="fixed-rare", B=150.5),
         dict(source="comprehensive", num_scenarios=1.5),
+        dict(source="fixed-rare", level="0.9"),
+        dict(source="fixed-rare", pi1_grid=("0.5",)),
+        dict(source="fixed-rare", pi1_grid=(True,)),
+        dict(source="fixed-rare", master_seed=-1),
+        dict(source="fixed-rare", master_seed=2.7),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidDataError):
@@ -263,6 +268,23 @@ class TestCellPool:
         else:
             assert threads["_draw_cell"] and here not in threads["_draw_cell"]
             assert not threads["bootstrap_bounds"]
+
+    def test_pool_starts_at_most_one_thread_per_task(self, monkeypatch):
+        # The pool is sized by the CPU count alone; a study with fewer tasks
+        # still starts no more threads than it has tasks.
+        draw, names, alive = study._draw_cell, set(), []
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            alive.append(sum(t.name.startswith("reviewrate-cell") for t in threading.enumerate()))
+            return draw(*args)
+
+        monkeypatch.setattr(study, "_draw_cell", recording)
+        monkeypatch.setattr(study, "_worker_count", lambda: 8)
+        run_sweep(StudySpec(source="fixed-rare", pi1_grid=(0.2, 0.5, 0.9), replications=50,
+                            methods=("wald",), master_seed=3))
+        assert names and all(name.startswith("reviewrate-cell") for name in names)
+        assert len(names) <= 3 and max(alive) <= 3
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
         specs = list(POOL_SPECS.values())
@@ -492,3 +514,5 @@ class TestSummarizeComprehensive:
             summarize_comprehensive([make_row(1.0)], window=0.0)
         with pytest.raises(InvalidDataError):
             summarize_comprehensive([make_row(1.0)], window=float("nan"))
+        with pytest.raises(InvalidDataError):
+            summarize_comprehensive([make_row(1.0)], window="1")
