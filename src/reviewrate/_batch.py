@@ -15,7 +15,9 @@ counts are sums of leaves; lanes where a non-empty pool got no review are
 then repaired by the urn-composition identity (see ``generate_counts``). The
 bootstrap simulates from the fit its caller already holds, and refits only
 theta on its replicates, through the same survival-rate recursion as
-``estimate_counts``.
+``estimate_counts``. It leaves out the strata whose fitted surviving rate is
+0, which add exactly 0 to every replicate, so the number of draws it takes
+from its generator depends on the fit.
 
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
@@ -264,10 +266,39 @@ def bootstrap_bounds(
     one batch, refits only theta on each, by the recursion
     ``estimate_counts`` uses, and returns the central quantiles. Replicates
     whose estimate is zero stay in the pool.
+
+    Only the live strata, those with a positive fitted surviving rate
+    ``lam[:, -1]``, are simulated, so how many draws are taken from ``gen``
+    depends on the fit; with no live stratum every replicate is 0, the
+    bounds are (0, 0) and nothing is drawn. See ``_bootstrap_replicates``.
     """
-    e_b, n_b = generate_counts(lam, pis, m, n_replicates, gen)
-    *_, lam_T = _survival(e_b, n_b, m)
-    theta_b = _strata_sum(lam_T)
+    theta_b = _bootstrap_replicates(lam, pis, m, n_replicates, gen)
     alpha = 1.0 - level
     lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lower), float(upper)
+
+
+def _bootstrap_replicates(
+    lam: np.ndarray, pis: np.ndarray, m: float, n_replicates: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Theta refitted on ``n_replicates`` datasets simulated from the fit (lam, pis).
+
+    Strata with ``lam[:, -1] == 0`` are left out, which changes neither the
+    replicates' law nor any replicate's value given the live strata's counts.
+    In such a stratum every pool whose tail rate is 0 is empty in every lane,
+    forced single reviews included, by induction over the tiers: all its
+    Poisson leaves have rate 0, and a forced review of the pool before it
+    rejects with certainty, as that pool's tail rate is its class rate alone
+    (or that pool is empty too). So its ``e_T`` is 0, its ``Lambda_T`` is
+    +0.0, and adding it to the stratum sum changes nothing. Strata draw
+    independently, so the live strata's counts have the same joint law
+    without it.
+    """
+    live = lam[:, -1] > 0
+    if not live.any():
+        # The B-lane vector is still allocated, so a replicate count too large
+        # for memory fails whatever the fit.
+        return np.zeros(n_replicates)
+    e_b, n_b = generate_counts(lam[live], pis[live], m, n_replicates, gen)
+    *_, lam_T = _survival(e_b, n_b, m)
+    return _strata_sum(lam_T)

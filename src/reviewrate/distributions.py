@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _batch
-from .model import InvalidDataError, _int_tuple, _real, check_integer
+from .model import InvalidDataError, _float_tuple, _int_tuple, _real, check_integer
 
 __all__ = [
     "RngStream",
@@ -161,7 +161,7 @@ def empirical_quantile(values: Sequence[float], p: float) -> float:
     The interpolation point sits at position ``1 + p*(n-1)`` among the sorted
     values, so ``p=0`` returns the minimum and ``p=1`` the maximum.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(_float_tuple(values, "quantile values"))
     if arr.size == 0:
         raise InvalidDataError("cannot take a quantile of an empty sequence")
     p = _real(p, "quantile probability")

@@ -38,7 +38,10 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     Replicates are generated in one batch on the supplied stream, so the
     result is a deterministic function of ``(dataset, level, B, rng)``.
     Replicates with a zero estimate are kept: the refitted model genuinely
-    produces them.
+    produces them. Strata whose fitted surviving rate is 0 add exactly 0 to
+    every replicate and are not simulated, so the number of draws taken from
+    ``rng`` depends on the fit: a zero estimate gives the interval (0, 0)
+    and draws nothing.
     """
     level = check_level(level)
     B = check_bootstrap_replicates(B)

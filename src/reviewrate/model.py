@@ -432,6 +432,8 @@ class IntervalResult:
                 f"unknown interval method {self.method!r}; expected one of {CI_METHODS}"
             )
         object.__setattr__(self, "level", check_level(self.level))
+        object.__setattr__(self, "lower", _real(self.lower, "interval lower bound"))
+        object.__setattr__(self, "upper", _real(self.upper, "interval upper bound"))
         if not self.lower <= self.upper:
             raise InvalidDataError(
                 f"interval bounds are inverted: ({self.lower!r}, {self.upper!r})"

@@ -421,6 +421,8 @@ def summarize_comprehensive(
     """
     if not _real(window, "window") > 0:
         raise InvalidDataError(f"window must be positive, got {window!r}")
+    if grid is not None:
+        grid = _float_tuple(grid, "grid")
     by_method: dict[str, list[CoverageRow]] = {}
     for row in rows:
         by_method.setdefault(row.method, []).append(row)
@@ -431,7 +433,7 @@ def summarize_comprehensive(
             continue
         method_rows = by_method[method]
         xs = np.array([r.expected_tp for r in method_rows])
-        centers = sorted(set(xs.tolist())) if grid is None else _float_tuple(grid, "grid")
+        centers = sorted(set(xs.tolist())) if grid is None else grid
         values = {
             metric: np.array([getattr(r, metric) for r in method_rows])
             for metric in _WINDOW_METRICS

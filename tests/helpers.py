@@ -1,4 +1,6 @@
-"""Shared high-precision oracles for the test suite."""
+"""Shared high-precision oracles, reference samplers and a two-sample law test for the test suite."""
+
+import numpy as np
 
 
 def mp_gamma_quantile(p, shape):
@@ -18,6 +20,24 @@ def mp_gamma_quantile(p, shape):
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+def two_sample_chi2(a, b):
+    """Two-sample chi-square of two Counters of equal total, every cell below 10
+    draws over both samples lumped into one. Returns (chi2, cells, p-value)."""
+    from scipy import stats
+
+    rows = [[0, 0]]
+    for cell in a.keys() | b.keys():
+        if a[cell] + b[cell] >= 10:
+            rows.append([a[cell], b[cell]])
+        else:
+            rows[0][0] += a[cell]
+            rows[0][1] += b[cell]
+    table = np.array(rows, dtype=float)
+    total = table.sum(axis=1)
+    chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
+    return chi2, len(table), stats.chi2.sf(chi2, df=len(table) - 1)
 
 
 def reference_estimate(strata, m):

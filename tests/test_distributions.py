@@ -249,6 +249,11 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError):
             empirical_quantile((1.0,), 1.5)
 
+    @pytest.mark.parametrize("values", [["1", "3"], [1.0, True], [1.0, None]])
+    def test_values_that_are_not_numbers(self, values):
+        with pytest.raises(InvalidDataError):
+            empirical_quantile(values, 0.5)
+
 
 class TestThinning:
     def test_composed_mean_and_variance_smoke(self):

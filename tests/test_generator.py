@@ -6,7 +6,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from reviewrate import (
     InvalidDataError,
@@ -21,7 +20,7 @@ from reviewrate import (
     validate_observed,
 )
 from reviewrate import _batch
-from helpers import reference_generate_dataset
+from helpers import reference_generate_dataset, two_sample_chi2
 from reviewrate.study import _scenario_arrays
 
 
@@ -148,22 +147,6 @@ class TestThinningConsistency:
         assert abs(total / reps - target) < 3 * math.sqrt(target / reps)
 
 
-def two_sample_chi2(a, b):
-    """Two-sample chi-square of two Counters of equal total, every cell below 10
-    draws over both samples lumped into one. Returns (chi2, cells, p-value)."""
-    rows = [[0, 0]]
-    for cell in a.keys() | b.keys():
-        if a[cell] + b[cell] >= 10:
-            rows.append([a[cell], b[cell]])
-        else:
-            rows[0][0] += a[cell]
-            rows[0][1] += b[cell]
-    table = np.array(rows, dtype=float)
-    total = table.sum(axis=1)
-    chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()
-    return chi2, len(table), stats.chi2.sf(chi2, df=len(table) - 1)
-
-
 def observable_cells(datasets):
     return Counter((h,) + s.e + s.n for _, ds in datasets for h, s in enumerate(ds.strata))
 
@@ -270,6 +253,19 @@ class TestBatchEngineAgreesInLaw:
         a, b = flat(new), flat(ref)
         se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / LAW_REPS)
         assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se + 1e-12)
+
+
+class TestStratumWithNoSurvivingRate:
+    def test_last_pool_is_empty_in_every_lane(self):
+        # Stratum 0 has lambda_T = 0, stratum 1 also lambda_{T-1} = 0. Small
+        # pools and sampling rates force a single review in many lanes.
+        lam = np.array([[2.0, 1.5, 0.7, 0.0], [3.0, 1.0, 0.0, 0.0]])
+        pis = np.array([[0.3, 0.05, 0.05], [0.2, 0.05, 0.05]])
+        e, n = _batch.generate_counts(lam, pis, 1.0, 10**5, RngStream(46).generator)
+        one_review = (e[:, :3] > 0) & (n == 1)
+        assert one_review[0, 2].sum() > 1000 and one_review[1, 1].sum() > 1000
+        assert not e[:, 3].any()
+        assert not e[1, 2].any() and not n[1, 2].any()
 
 
 class TestBatchSamplerMemory:

@@ -1,6 +1,7 @@
 """Tests for the three confidence-interval constructions."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from reviewrate import (
     scenario_rare,
 )
 from reviewrate import _batch
-from helpers import mp_gamma_quantile
+from helpers import mp_gamma_quantile, two_sample_chi2
 
 
 def single_stratum_dataset(e, n, m=1.0):
@@ -147,6 +148,31 @@ class TestBootstrap:
         *_, lam_T = _batch._survival(e, n, 0.7)
         refit = _batch._strata_sum(lam_T)
         assert refit.tobytes() == _batch.estimate_counts(e, n, 0.7).theta.tobytes()
+
+    def test_live_strata_replicates_agree_in_law_with_the_full_simulation(self):
+        # Strata 1 and 2 have a zero surviving rate, stratum 2 also a zero
+        # rate in the class before; small later sampling rates force single
+        # reviews. Two-sample chi-square over the replicate values.
+        lam = np.array([[1.0, 0.5, 0.8], [2.0, 1.5, 0.0], [3.0, 0.0, 0.0], [0.4, 0.3, 1.5]])
+        pis = np.array([[0.5, 0.2], [0.3, 0.1], [0.2, 0.1], [0.1, 0.3]])
+        reps = 2 * 10**5
+        e, n = _batch.generate_counts(lam, pis, 1.0, reps, np.random.default_rng(11))
+        full = _batch.estimate_counts(e, n, 1.0).theta
+        live = _batch._bootstrap_replicates(lam, pis, 1.0, reps, np.random.default_rng(12))
+        chi2, cells, pvalue = two_sample_chi2(Counter(full.tolist()), Counter(live.tolist()))
+        assert cells > 50
+        assert pvalue > 1e-3, f"chi2={chi2:.1f} over {cells} cells, p={pvalue:.2e}"
+
+    @pytest.mark.parametrize("lam", [
+        [[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 4.0, 0.0], [5.0, 0.0, 0.0]],
+    ], ids=["survivor-rate-zero", "pool-rates-zero"])
+    def test_no_live_stratum_gives_zero_bounds_without_drawing(self, lam):
+        gen = np.random.default_rng(13)
+        state = gen.bit_generator.state
+        pis = np.full((2, 2), 0.1)
+        assert _batch.bootstrap_bounds(np.array(lam), pis, 1.0, 0.9, 2000, gen) == (0.0, 0.0)
+        assert gen.bit_generator.state == state
 
     def test_validation(self):
         with pytest.raises(InvalidDataError):

@@ -202,3 +202,12 @@ class TestIntervalResult:
     def test_inverted_bounds(self):
         with pytest.raises(InvalidDataError):
             IntervalResult(method="wald", level=0.9, lower=2.0, upper=1.0)
+
+    @pytest.mark.parametrize("lower, upper", [("0", "1"), (0.0, "1"), (False, 1.0), (0.0, None)])
+    def test_bounds_that_are_not_numbers(self, lower, upper):
+        with pytest.raises(InvalidDataError):
+            IntervalResult(method="wald", level=0.9, lower=lower, upper=upper)
+
+    def test_numpy_bounds_are_stored_as_floats(self):
+        iv = IntervalResult(method="wald", level=0.9, lower=np.float64(1.0), upper=np.int64(3))
+        assert (type(iv.lower), type(iv.upper)) == (float, float)

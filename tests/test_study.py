@@ -184,9 +184,13 @@ class TestRunSweep:
 
     def test_theta_only_refit_leaves_the_csv_unchanged(self, monkeypatch):
         # The bootstrap refits only theta on its replicates; refitting them
-        # with the full estimator must give the same bytes.
+        # with the full estimator must give the same bytes. Both simulate only
+        # the strata with a positive fitted surviving rate.
         def full_refit_bounds(lam, pis, m, level, n_replicates, gen):
-            e_b, n_b = _batch.generate_counts(lam, pis, m, n_replicates, gen)
+            live = lam[:, -1] > 0
+            if not live.any():
+                return 0.0, 0.0
+            e_b, n_b = _batch.generate_counts(lam[live], pis[live], m, n_replicates, gen)
             theta_b = _batch.estimate_counts(e_b, n_b, m).theta
             alpha = 1.0 - level
             lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -508,6 +512,12 @@ class TestSummarizeComprehensive:
         rows = [make_row(10.0)]
         s = summarize_comprehensive(rows, window=1.0, grid=[2.0])[0]
         assert s.skipped and s.n_scenarios == 0
+
+    def test_one_shot_grid_serves_every_method(self):
+        rows = [make_row(1.0, method="wald"), make_row(1.2, method="gamma_wsip")]
+        from_list = summarize_comprehensive(rows, window=1.0, grid=[1.0])
+        assert len(from_list) == 2
+        assert summarize_comprehensive(rows, window=1.0, grid=(g for g in [1.0])) == from_list
 
     def test_invalid_window(self):
         with pytest.raises(InvalidDataError):
