@@ -236,14 +236,22 @@ class TestEstimate:
     def test_mileage_too_large_for_the_counts_is_validation_error(self, tmp_path, text, ci):
         assert self._estimate_without_runtime_warnings(tmp_path, text, ci) == 2
 
-    @pytest.mark.parametrize("e", [[10, 5], [10, 0]], ids=["survivors", "no-survivors"])
-    def test_replicates_too_large_for_memory_is_usage_error(self, tmp_path, capsys, e):
-        # With no survivors the bootstrap draws nothing, yet --B still sizes an array.
+    @staticmethod
+    def _estimate_with_oversized_B(tmp_path, capsys, e):
         dpath = tmp_path / "d.json"
         dpath.write_text(json.dumps({"m": 1.0, "strata": [{"e": e, "n": [10]}]}))
         # numpy refuses a 10**15-lane array at once, before touching any memory.
         assert main(["estimate", str(dpath), "--ci", "bootstrap", "--B", str(10**15)]) == 1
         assert "--B too large for memory" in capsys.readouterr().err
+
+    def test_replicates_too_large_for_memory_is_usage_error(self, tmp_path, capsys):
+        self._estimate_with_oversized_B(tmp_path, capsys, [10, 5])
+
+    def test_replicates_too_large_for_memory_without_survivors_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        # With no survivors the bootstrap draws nothing, yet --B still sizes an array.
+        self._estimate_with_oversized_B(tmp_path, capsys, [10, 0])
 
     @pytest.mark.parametrize("e0", [3 * 10**9, 2**53 - 1], ids=["3e9", "2**53-1"])
     def test_bootstrap_on_pools_beyond_the_hypergeometric_limit(self, tmp_path, e0):
