@@ -269,8 +269,8 @@ def bootstrap_bounds(
 
     Only the live strata, those with a positive fitted surviving rate
     ``lam[:, -1]``, are simulated, so how many draws are taken from ``gen``
-    depends on the fit; with no live stratum every replicate is 0, the
-    bounds are (0, 0) and nothing is drawn. See ``_bootstrap_replicates``.
+    depends on the fit; with none, nothing is drawn and the bounds are
+    (0, 0). See ``_bootstrap_replicates``.
     """
     theta_b = _bootstrap_replicates(lam, pis, m, n_replicates, gen)
     alpha = 1.0 - level
@@ -295,10 +295,6 @@ def _bootstrap_replicates(
     without it.
     """
     live = lam[:, -1] > 0
-    if not live.any():
-        # The B-lane vector is still allocated, so a replicate count too large
-        # for memory fails whatever the fit.
-        return np.zeros(n_replicates)
     e_b, n_b = generate_counts(lam[live], pis[live], m, n_replicates, gen)
     *_, lam_T = _survival(e_b, n_b, m)
     return _strata_sum(lam_T)

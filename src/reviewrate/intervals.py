@@ -69,10 +69,10 @@ def ci_wald(
         _column(estimate.theta_by_stratum), _column(estimate.pi_prod), m
     )
     lower, upper = _batch.wald_bounds(np.array([estimate.theta_hat]), variance, level)
-    lower = float(lower[0])
+    lower = lower[0]
     if clamp_at_zero:
         lower = max(0.0, lower)
-    return IntervalResult(method="wald", level=level, lower=lower, upper=float(upper[0]))
+    return IntervalResult(method="wald", level=level, lower=lower, upper=upper[0])
 
 
 def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> IntervalResult:
@@ -96,6 +96,4 @@ def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> Int
         weights.max(axis=0),
         level,
     )
-    return IntervalResult(
-        method="gamma_wsip", level=level, lower=float(lower[0]), upper=float(upper[0])
-    )
+    return IntervalResult(method="gamma_wsip", level=level, lower=lower[0], upper=upper[0])
