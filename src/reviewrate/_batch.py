@@ -16,8 +16,9 @@ then repaired by the urn-composition identity (see ``generate_counts``). The
 bootstrap simulates from the fit its caller already holds, and refits only
 theta on its replicates, through the same survival-rate recursion as
 ``estimate_counts``. It leaves out the strata whose fitted surviving rate is
-0, which add exactly 0 to every replicate, so the number of draws it takes
-from its generator depends on the fit.
+0, which add exactly 0 to every replicate, and folds out the tiers whose
+fitted sampling rate is 1, which keeps the replicates' law, so the number of
+draws it takes from its generator depends on the fit.
 
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
@@ -268,9 +269,10 @@ def bootstrap_bounds(
     whose estimate is zero stay in the pool.
 
     Only the live strata, those with a positive fitted surviving rate
-    ``lam[:, -1]``, are simulated, so how many draws are taken from ``gen``
-    depends on the fit; with none, nothing is drawn and the bounds are
-    (0, 0). See ``_bootstrap_replicates``.
+    ``lam[:, -1]``, are simulated, and their tiers with a fitted sampling
+    rate of 1 are folded into the tier before, so how many draws are taken
+    from ``gen`` depends on the fit; with no live stratum, nothing is drawn
+    and the bounds are (0, 0). See ``_bootstrap_replicates``.
     """
     theta_b = _bootstrap_replicates(lam, pis, m, n_replicates, gen)
     alpha = 1.0 - level
@@ -283,8 +285,11 @@ def _bootstrap_replicates(
 ) -> np.ndarray:
     """Theta refitted on ``n_replicates`` datasets simulated from the fit (lam, pis).
 
-    Strata with ``lam[:, -1] == 0`` are left out, which changes neither the
-    replicates' law nor any replicate's value given the live strata's counts.
+    Strata with ``lam[:, -1] == 0`` are left out, and the fully reviewed
+    tiers of the others are folded out by ``_fold_full_tiers``, which keeps
+    the replicates' law. Leaving out a stratum with a zero surviving rate
+    changes neither the replicates' law nor any replicate's value given the
+    live strata's counts.
     In such a stratum every pool whose tail rate is 0 is empty in every lane,
     forced single reviews included, by induction over the tiers: all its
     Poisson leaves have rate 0, and a forced review of the pool before it
@@ -295,6 +300,65 @@ def _bootstrap_replicates(
     without it.
     """
     live = lam[:, -1] > 0
-    e_b, n_b = generate_counts(lam[live], pis[live], m, n_replicates, gen)
+    e_b, n_b = generate_counts(*_fold_full_tiers(lam[live], pis[live]), m, n_replicates, gen)
     *_, lam_T = _survival(e_b, n_b, m)
     return _strata_sum(lam_T)
+
+
+def _fold_full_tiers(lam: np.ndarray, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An equivalent review tree for (lam, pis) without the tiers whose ``pis`` is 1.
+
+    A tier t with pi_t = 1 is dropped. Its rejected class t-1 merges into the
+    class rejected at the last kept tier before it (rates added in class
+    order), and is dropped if no tier before it is kept. The survivors' rate
+    is unchanged. Each stratum is then front-padded, to the largest number of
+    kept tiers in the batch, with pass-through tiers of class rate 0 and
+    sampling rate 1. A fit without such a tier comes back with the same
+    values, so ``generate_counts`` draws from it exactly as from (lam, pis).
+
+    Theta refitted by ``_survival`` keeps its law under the folded tree. In
+    law a stratum's counts are the chain ``e_0 ~ Poisson(m * tail_0)`` and,
+    while ``e_{t-1} > 0``, ``n_t = max(1, Bin(e_{t-1}, pi_t))``,
+    ``e_t = n_t - Bin(n_t, lambda_{t-1} / tail_{t-1})``, all 0 after an empty
+    pool: given its size a pool's class mix is multinomial in the tail
+    shares, and a review is a uniform sample of it.
+
+    - A tier t with pi_t = 1 reviews its whole pool, so ``n_t = e_{t-1}`` and
+      ``e_t ~ Bin(e_{t-1}, tail_t / tail_{t-1})``. Binomial thinnings
+      compose: after a kept tier k and full tiers k+1..j, ``e_j ~ Bin(n_k,
+      tail_j / tail_{k-1})``, which is one review at tier k that rejects the
+      merged classes k-1..j-1 with their summed share, forced single review
+      included. Before the first kept tier k, ``e_{k-1} ~ Poisson(m *
+      tail_{k-1})``: the folded tree's first pool, without classes 0..k-2.
+    - Theta reads the full tiers only through their factors ``e_t / n_t =
+      e_t / e_{t-1}``, which telescope: with the factor of kept tier k,
+      ``(e_k / n_k) * (e_j / e_k) = e_j / n_k``, and before the first kept
+      tier ``(e_0 / m) * (e_{k-1} / e_0) = e_{k-1} / m``. Where a pool is
+      empty both sides are 0 from there on. So theta is the same function of
+      the kept tiers' pools and review counts and of ``e_T`` in both trees,
+      and those have the same joint law.
+    - A pass-through tier reviews its whole pool and rejects nothing, so its
+      pool and its escalation set are the pool before it, its factor is
+      exactly 1 (or the level is already 0) and it never forces a review.
+
+    The replicates' values can differ in the last bits, since the product
+    and the tail rates are rounded in a different order.
+    """
+    folded = []
+    for lam_h, pis_h in zip(lam.tolist(), pis.tolist()):
+        classes, kept = [], []
+        # Tier t rejects class t-1.
+        for rate, pi in zip(lam_h, pis_h):
+            if pi != 1.0:
+                classes.append(rate)
+                kept.append(pi)
+            elif classes:
+                classes[-1] += rate
+        folded.append((classes + lam_h[-1:], kept))
+    width = max((len(kept) for _, kept in folded), default=0)
+    lam_f = np.zeros((len(folded), width + 1))
+    pis_f = np.ones((len(folded), width))
+    for h, (classes, kept) in enumerate(folded):
+        lam_f[h, width + 1 - len(classes):] = classes
+        pis_f[h, width - len(kept):] = kept
+    return lam_f, pis_f

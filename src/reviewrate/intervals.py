@@ -39,9 +39,10 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     result is a deterministic function of ``(dataset, level, B, rng)``.
     Replicates with a zero estimate are kept: the refitted model genuinely
     produces them. Strata whose fitted surviving rate is 0 add exactly 0 to
-    every replicate and are not simulated, so the number of draws taken from
-    ``rng`` depends on the fit: a zero estimate gives the interval (0, 0)
-    and draws nothing.
+    every replicate and are not simulated, and tiers whose fitted sampling
+    rate is 1 are folded out of the simulation without changing the
+    replicates' law, so the number of draws taken from ``rng`` depends on
+    the fit: a zero estimate gives the interval (0, 0) and draws nothing.
     """
     level = check_level(level)
     B = check_bootstrap_replicates(B)

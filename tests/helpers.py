@@ -24,16 +24,21 @@ def mp_gamma_quantile(p, shape):
 
 def two_sample_chi2(a, b):
     """Two-sample chi-square of two Counters of equal total, every cell below 10
-    draws over both samples lumped into one. Returns (chi2, cells, p-value)."""
+    draws over both samples lumped into one, which is left out when empty.
+    Returns (chi2, cells, p-value); fewer than 2 cells raise ValueError."""
     from scipy import stats
 
-    rows = [[0, 0]]
+    lumped, rows = [0, 0], []
     for cell in a.keys() | b.keys():
         if a[cell] + b[cell] >= 10:
             rows.append([a[cell], b[cell]])
         else:
-            rows[0][0] += a[cell]
-            rows[0][1] += b[cell]
+            lumped[0] += a[cell]
+            lumped[1] += b[cell]
+    if sum(lumped):
+        rows.insert(0, lumped)
+    if len(rows) < 2:
+        raise ValueError(f"two-sample chi-square needs at least 2 cells, got {len(rows)}")
     table = np.array(rows, dtype=float)
     total = table.sum(axis=1)
     chi2 = ((table[:, 0] - table[:, 1]) ** 2 / total).sum()

@@ -149,19 +149,65 @@ class TestBootstrap:
         refit = _batch._strata_sum(lam_T)
         assert refit.tobytes() == _batch.estimate_counts(e, n, 0.7).theta.tobytes()
 
-    def test_live_strata_replicates_agree_in_law_with_the_full_simulation(self):
-        # Strata 1 and 2 have a zero surviving rate, stratum 2 also a zero
-        # rate in the class before; small later sampling rates force single
-        # reviews. Two-sample chi-square over the replicate values.
-        lam = np.array([[1.0, 0.5, 0.8], [2.0, 1.5, 0.0], [3.0, 0.0, 0.0], [0.4, 0.3, 1.5]])
-        pis = np.array([[0.5, 0.2], [0.3, 0.1], [0.2, 0.1], [0.1, 0.3]])
+    @staticmethod
+    def _assert_replicates_agree_in_law_with_the_full_simulation(lam, pis):
+        # Two-sample chi-square over the replicate values, rounded because
+        # folding out the full tiers changes the rounding of a replicate.
+        lam, pis = np.array(lam), np.array(pis)
         reps = 2 * 10**5
         e, n = _batch.generate_counts(lam, pis, 1.0, reps, np.random.default_rng(11))
         full = _batch.estimate_counts(e, n, 1.0).theta
         live = _batch._bootstrap_replicates(lam, pis, 1.0, reps, np.random.default_rng(12))
-        chi2, cells, pvalue = two_sample_chi2(Counter(full.tolist()), Counter(live.tolist()))
+        cells_of = lambda theta: Counter(np.round(theta, 9).tolist())
+        chi2, cells, pvalue = two_sample_chi2(cells_of(full), cells_of(live))
         assert cells > 50
         assert pvalue > 1e-3, f"chi2={chi2:.1f} over {cells} cells, p={pvalue:.2e}"
+
+    def test_live_strata_replicates_agree_in_law_with_the_full_simulation(self):
+        # Strata 1 and 2 have a zero surviving rate, stratum 2 also a zero
+        # rate in the class before; small later sampling rates force single
+        # reviews.
+        self._assert_replicates_agree_in_law_with_the_full_simulation(
+            [[1.0, 0.5, 0.8], [2.0, 1.5, 0.0], [3.0, 0.0, 0.0], [0.4, 0.3, 1.5]],
+            [[0.5, 0.2], [0.3, 0.1], [0.2, 0.1], [0.1, 0.3]],
+        )
+
+    def test_folded_replicates_agree_in_law_with_the_full_simulation(self):
+        # Fully reviewed tiers: the first; a middle one and the last; two in a
+        # row; every tier of stratum 3; and in stratum 4, which is dead. Small
+        # later sampling rates force single reviews.
+        self._assert_replicates_agree_in_law_with_the_full_simulation(
+            [[0.6, 0.8, 0.5, 0.4, 0.6], [0.5, 1.2, 0.3, 0.6, 0.4], [1.0, 0.6, 0.9, 0.2, 0.5],
+             [0.3, 0.2, 0.4, 0.1, 0.9], [2.0, 1.0, 0.0, 0.0, 0.0]],
+            [[1.0, 0.4, 0.1, 0.2], [0.5, 1.0, 0.1, 1.0], [0.4, 1.0, 1.0, 0.1],
+             [1.0, 1.0, 1.0, 1.0], [0.3, 1.0, 0.2, 1.0]],
+        )
+
+    @pytest.mark.parametrize("lam", [
+        [[1.0, 0.5, 0.8], [2.0, 1.5, 0.0], [0.4, 0.3, 1.5]],
+        [[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    ], ids=["no-full-tier", "no-live-stratum"])
+    def test_fit_without_a_full_tier_draws_the_live_strata_unchanged(self, lam):
+        lam = np.array(lam)
+        pis = np.linspace(0.1, 0.9, lam.size - len(lam)).reshape(len(lam), -1)
+        gen, ref = np.random.default_rng(14), np.random.default_rng(14)
+        theta_b = _batch._bootstrap_replicates(lam, pis, 0.7, 3000, gen)
+        live = lam[:, -1] > 0
+        e, n = _batch.generate_counts(lam[live], pis[live], 0.7, 3000, ref)
+        *_, lam_T = _batch._survival(e, n, 0.7)
+        assert theta_b.tobytes() == _batch._strata_sum(lam_T).tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_fully_reviewed_fit_draws_one_poisson_count_per_live_stratum(self):
+        # With every tier folded out a replicate is sum_h Poisson(m * lambda_hT) / m.
+        lam = np.array([[1.0, 0.5, 0.8], [2.0, 1.5, 0.0], [0.4, 0.3, 1.5]])
+        gen, ref = np.random.default_rng(15), np.random.default_rng(15)
+        theta_b = _batch._bootstrap_replicates(lam, np.ones((3, 2)), 0.7, 3000, gen)
+        oracle = np.zeros(3000)
+        for rate in (0.8, 1.5):
+            oracle += ref.poisson(0.7 * rate, 3000) / 0.7
+        assert theta_b.tobytes() == oracle.tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("lam", [
         [[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]],

@@ -183,21 +183,30 @@ class TestRunSweep:
         assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(spec))
 
     def test_theta_only_refit_leaves_the_csv_unchanged(self, monkeypatch):
+        self._assert_theta_only_refit_leaves_the_csv_unchanged(monkeypatch, (0.1, 0.7))
+
+    def test_theta_only_refit_leaves_the_csv_unchanged_at_full_first_review(self, monkeypatch):
+        self._assert_theta_only_refit_leaves_the_csv_unchanged(monkeypatch, (1.0,))
+
+    @staticmethod
+    def _assert_theta_only_refit_leaves_the_csv_unchanged(monkeypatch, pi1_grid):
         # The bootstrap refits only theta on its replicates; refitting them
         # with the full estimator must give the same bytes. Both simulate only
-        # the strata with a positive fitted surviving rate.
+        # the strata with a positive fitted surviving rate, with their fully
+        # reviewed tiers folded out (every fit at pi1 = 1.0 has one).
         def full_refit_bounds(lam, pis, m, level, n_replicates, gen):
             live = lam[:, -1] > 0
             if not live.any():
                 return 0.0, 0.0
-            e_b, n_b = _batch.generate_counts(lam[live], pis[live], m, n_replicates, gen)
+            folded = _batch._fold_full_tiers(lam[live], pis[live])
+            e_b, n_b = _batch.generate_counts(*folded, m, n_replicates, gen)
             theta_b = _batch.estimate_counts(e_b, n_b, m).theta
             alpha = 1.0 - level
             lower, upper = np.quantile(theta_b, [alpha / 2.0, 1.0 - alpha / 2.0])
             return float(lower), float(upper)
 
         spec = StudySpec(
-            source="fixed-rare", pi1_grid=(0.1, 0.7), replications=20,
+            source="fixed-rare", pi1_grid=pi1_grid, replications=20,
             methods=("bootstrap",), B=150, master_seed=6,
         )
         text = rows_to_csv(run_sweep(spec))
