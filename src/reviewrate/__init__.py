@@ -9,22 +9,8 @@ bootstrap, normal approximation, and a gamma method on a weighted sum of
 independent Poissons), and measures their coverage in Monte Carlo studies.
 """
 
-from .distributions import (
-    RngStream,
-    empirical_quantile,
-    gamma_quantile,
-    normal_quantile,
-    sample_binomial,
-    sample_mv_hypergeometric,
-    sample_poisson,
-)
-from .estimator import (
-    em_fixed_point_residual_t2,
-    estimate_Lambda,
-    estimate_lambda,
-    estimate_pi,
-    estimate_theta,
-)
+from .distributions import RngStream, sample_binomial, sample_mv_hypergeometric, sample_poisson
+from .estimator import estimate_theta
 from .generator import generate_dataset, generate_stratum
 from .intervals import ci_bootstrap, ci_gamma_wsip, ci_wald
 from .model import (
@@ -61,9 +47,6 @@ __all__ = [
     "sample_poisson",
     "sample_binomial",
     "sample_mv_hypergeometric",
-    "gamma_quantile",
-    "normal_quantile",
-    "empirical_quantile",
     "ReviewConfig",
     "StratumParams",
     "Scenario",
@@ -78,11 +61,7 @@ __all__ = [
     "CI_METHODS",
     "generate_stratum",
     "generate_dataset",
-    "estimate_Lambda",
-    "estimate_lambda",
-    "estimate_pi",
     "estimate_theta",
-    "em_fixed_point_residual_t2",
     "ci_bootstrap",
     "ci_wald",
     "ci_gamma_wsip",

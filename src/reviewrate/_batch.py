@@ -20,6 +20,13 @@ theta on its replicates, through the same survival-rate recursion as
 fitted sampling rate is 1, which keeps the replicates' law, so the number of
 draws it takes from its generator depends on the fit.
 
+The Wald and gamma intervals share one plug-in variance, that of theta as a
+weighted sum of independent Poisson counts, ``sum_h w_h^2 e_hT``, computed
+once by ``estimate_counts``. It equals ``(1/m) sum_h lambda_hT / pi_h``, as
+``lambda_hT = w_h e_hT``. The two intervals differ only in the shape of the
+distribution they invert and in the gamma upper bound's shift by the largest
+weight.
+
 ``scipy.special`` is imported by the quantile functions on first use, so a
 process that never builds a Wald or gamma interval never loads scipy.
 """
@@ -35,8 +42,6 @@ __all__ = [
     "hypergeometric_split",
     "generate_counts",
     "estimate_counts",
-    "wald_variance",
-    "gamma_variance",
     "wald_bounds",
     "moment_gamma_quantile",
     "gamma_bounds",
@@ -157,8 +162,7 @@ class BatchEstimate(NamedTuple):
     pi_prod: np.ndarray      # (H, R) product over tiers
     weights: np.ndarray      # (H, R) inverse-sampling weights
     theta: np.ndarray        # (R,) aggregate rate estimate
-    wald_var: np.ndarray     # (R,) plug-in asymptotic variance of theta
-    gamma_var: np.ndarray    # (R,) weighted-sum-of-Poissons variance
+    variance: np.ndarray     # (R,) plug-in variance of theta, sum_h w_h^2 e_hT
     w_max: np.ndarray        # (R,) largest per-stratum weight
 
 
@@ -180,12 +184,10 @@ def estimate_counts(e: np.ndarray, n: np.ndarray, m: float) -> BatchEstimate:
     pi_prod = pi_tier.prod(axis=1)
     weights = 1.0 / (m * pi_prod)
 
-    lam_T = Lambda[:, T]
-    theta = _strata_sum(lam_T)
-    wald_var = wald_variance(lam_T, pi_prod, m)
-    gamma_var = gamma_variance(weights, e[:, T])
+    theta = _strata_sum(Lambda[:, T])
+    variance = _strata_sum(weights**2 * e[:, T])
     w_max = weights.max(axis=0)
-    return BatchEstimate(Lambda, lam, pi_tier, pi_prod, weights, theta, wald_var, gamma_var, w_max)
+    return BatchEstimate(Lambda, lam, pi_tier, pi_prod, weights, theta, variance, w_max)
 
 
 def _survival(e: np.ndarray, n: np.ndarray, m: float) -> Iterator[np.ndarray]:
@@ -207,24 +209,14 @@ def _strata_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def wald_variance(lam_T: np.ndarray, pi_prod: np.ndarray, m: float) -> np.ndarray:
-    """Plug-in asymptotic variance of theta per lane: ``(1/m) * sum_h lambda_hT / pi_h``."""
-    return _strata_sum(lam_T / pi_prod) / m
-
-
-def gamma_variance(weights: np.ndarray, e_T: np.ndarray) -> np.ndarray:
-    """Variance of the weighted sum of independent Poissons per lane: ``sum_h w_h^2 e_hT``."""
-    return _strata_sum(weights**2 * e_T)
-
-
 def wald_bounds(
-    theta: np.ndarray, wald_var: np.ndarray, level: float
+    theta: np.ndarray, variance: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normal-approximation bounds per lane; the lower bound is not clamped at zero."""
     from scipy.special import ndtri
 
     z = ndtri(1.0 - (1.0 - level) / 2.0)
-    half = z * np.sqrt(wald_var)
+    half = z * np.sqrt(variance)
     return theta - half, theta + half
 
 
@@ -236,7 +228,7 @@ def moment_gamma_quantile(p: float, mean: np.ndarray, variance: np.ndarray) -> n
 
 
 def gamma_bounds(
-    theta: np.ndarray, gamma_var: np.ndarray, w_max: np.ndarray, level: float
+    theta: np.ndarray, variance: np.ndarray, w_max: np.ndarray, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gamma bounds per lane from the weighted-sum-of-Poissons moments.
 
@@ -246,8 +238,8 @@ def gamma_bounds(
     alpha = 1.0 - level
     lower = np.zeros_like(theta)
     pos = theta > 0
-    lower[pos] = moment_gamma_quantile(alpha / 2.0, theta[pos], gamma_var[pos])
-    upper = moment_gamma_quantile(1.0 - alpha / 2.0, theta + w_max, gamma_var + w_max**2)
+    lower[pos] = moment_gamma_quantile(alpha / 2.0, theta[pos], variance[pos])
+    upper = moment_gamma_quantile(1.0 - alpha / 2.0, theta + w_max, variance + w_max**2)
     return lower, upper
 
 

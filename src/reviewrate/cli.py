@@ -167,9 +167,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if name == "bootstrap":
             intervals.append(ci_bootstrap(dataset, level, args.B, _stream(args)))
         elif name == "wald":
-            intervals.append(ci_wald(estimate, m, level))
+            intervals.append(ci_wald(estimate, level))
         elif name == "gamma":
-            intervals.append(ci_gamma_wsip(estimate, dataset, level))
+            intervals.append(ci_gamma_wsip(estimate, level))
 
     print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={m:g}, "
           f"{dataset.config.H} strata, {dataset.config.T} tiers)")

@@ -1,12 +1,11 @@
-"""Seeded random streams, exact scalar samplers and quantile functions.
+"""Seeded random streams and exact scalar samplers.
 
 No package code draws from the scalar samplers: the simulator is the batch
 sampler in ``_batch``. They delegate to numpy's exact samplers (no normal
 approximation at large rates), which need a Poisson rate below about 9.2e18
 and, for the hypergeometric, both the drawn class and the rest of the pool
-below 1e9 items. Quantiles go through ``scipy.special``, not ``scipy.stats``,
-for low per-call overhead in tight loops. It is imported on first use: scipy
-is most of the package's import time, and generating data needs none of it.
+below 1e9 items. The quantile functions the intervals invert live in
+``_batch``.
 """
 
 from __future__ import annotations
@@ -16,17 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _batch
-from .model import InvalidDataError, _float_tuple, _int_tuple, _real, check_integer
+from .model import InvalidDataError, _int_tuple, _real, check_integer
 
 __all__ = [
     "RngStream",
     "sample_poisson",
     "sample_binomial",
     "sample_mv_hypergeometric",
-    "gamma_quantile",
-    "normal_quantile",
-    "empirical_quantile",
 ]
 
 
@@ -125,46 +120,3 @@ def sample_mv_hypergeometric(
         remaining_pool -= c
     return tuple(out)
 
-
-def gamma_quantile(p: float, mean: float, variance: float) -> float:
-    """Quantile of the gamma distribution with the given mean and variance.
-
-    The distribution is parameterized as shape = mean^2/variance and
-    scale = variance/mean. Callers must handle the degenerate mean = 0 case
-    themselves; it is rejected here.
-    """
-    p = _real(p, "quantile probability")
-    mean = _real(mean, "gamma mean")
-    variance = _real(variance, "gamma variance")
-    if not 0.0 < p < 1.0:
-        raise InvalidDataError(f"quantile probability must lie in (0, 1), got {p!r}")
-    if not (mean > 0.0 and math.isfinite(mean)):
-        raise InvalidDataError(f"gamma mean must be positive and finite, got {mean!r}")
-    if not (variance > 0.0 and math.isfinite(variance)):
-        raise InvalidDataError(f"gamma variance must be positive and finite, got {variance!r}")
-    return float(_batch.moment_gamma_quantile(p, mean, variance))
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal inverse CDF."""
-    p = _real(p, "quantile probability")
-    if not 0.0 < p < 1.0:
-        raise InvalidDataError(f"quantile probability must lie in (0, 1), got {p!r}")
-    from scipy.special import ndtri
-
-    return float(ndtri(p))
-
-
-def empirical_quantile(values: Sequence[float], p: float) -> float:
-    """Order-statistic quantile with linear interpolation between order statistics.
-
-    The interpolation point sits at position ``1 + p*(n-1)`` among the sorted
-    values, so ``p=0`` returns the minimum and ``p=1`` the maximum.
-    """
-    arr = np.array(_float_tuple(values, "quantile values"))
-    if arr.size == 0:
-        raise InvalidDataError("cannot take a quantile of an empty sequence")
-    p = _real(p, "quantile probability")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidDataError(f"quantile probability must lie in [0, 1], got {p!r}")
-    return float(np.quantile(arr, p))

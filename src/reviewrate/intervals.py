@@ -12,6 +12,12 @@ Three constructions with different coverage/width trade-offs:
   variance, with the upper bound widened by the largest weight. Conservative
   (it over-covers and is the widest), which is the preferred trade-off when
   under-coverage is the costlier mistake.
+
+The Wald and gamma intervals read one variance, ``RateEstimate.variance``
+(``sum_h w_h^2 e_hT``, equal to ``(1/m) sum_h lambda_hT / pi_h``): they differ
+only in the distribution they invert and in the gamma upper bound's shift by
+the largest weight. Both are one-lane views of the bounds in ``_batch``,
+which the study applies to every lane of a cell's fit.
 """
 
 from __future__ import annotations
@@ -21,15 +27,10 @@ import numpy as np
 from . import _batch
 from .distributions import RngStream
 from .estimator import fit_observed
-from .model import Dataset, IntervalResult, InvalidDataError, RateEstimate
-from .model import check_bootstrap_replicates, check_level, check_mileage
+from .model import Dataset, IntervalResult, RateEstimate
+from .model import check_bootstrap_replicates, check_level
 
 __all__ = ["ci_bootstrap", "ci_wald", "ci_gamma_wsip"]
-
-
-def _column(values) -> np.ndarray:
-    """Per-stratum values as an (H, 1) array: one lane for the batch engine."""
-    return np.array(values, dtype=float)[:, None]
 
 
 def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> IntervalResult:
@@ -54,29 +55,21 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     return IntervalResult(method="bootstrap", level=level, lower=lower, upper=upper)
 
 
-def ci_wald(
-    estimate: RateEstimate, m: float, level: float, clamp_at_zero: bool = False
-) -> IntervalResult:
+def ci_wald(estimate: RateEstimate, level: float) -> IntervalResult:
     """Normal-approximation interval around the point estimate.
 
-    The half-width is ``z * sqrt(variance)`` with the plug-in variance
-    ``(1/m) * sum_h lambda_hat_hT / pi_hat_h``. By default the lower bound is
-    reported as-is even when negative; ``clamp_at_zero`` floors it at 0.
-    A zero estimate yields the degenerate interval (0, 0).
+    The half-width is ``z * sqrt(estimate.variance)``. The lower bound is
+    reported as-is even when negative. A zero estimate yields the degenerate
+    interval (0, 0).
     """
     level = check_level(level)
-    m = check_mileage(m)
-    variance = _batch.wald_variance(
-        _column(estimate.theta_by_stratum), _column(estimate.pi_prod), m
+    lower, upper = _batch.wald_bounds(
+        np.array([estimate.theta_hat]), np.array([estimate.variance]), level
     )
-    lower, upper = _batch.wald_bounds(np.array([estimate.theta_hat]), variance, level)
-    lower = lower[0]
-    if clamp_at_zero:
-        lower = max(0.0, lower)
-    return IntervalResult(method="wald", level=level, lower=lower, upper=upper[0])
+    return IntervalResult(method="wald", level=level, lower=lower[0], upper=upper[0])
 
 
-def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> IntervalResult:
+def ci_gamma_wsip(estimate: RateEstimate, level: float) -> IntervalResult:
     """Gamma interval for the weighted-sum-of-independent-Poissons approximation.
 
     The lower bound inverts a gamma matched to (mean, variance) =
@@ -85,16 +78,10 @@ def ci_gamma_wsip(estimate: RateEstimate, dataset: Dataset, level: float) -> Int
     it defined and conservative even with no observed events.
     """
     level = check_level(level)
-    e_T = [s.e[-1] for s in dataset.strata]
-    if len(e_T) != len(estimate.weights):
-        raise InvalidDataError(
-            f"estimate covers {len(estimate.weights)} strata but dataset has {len(e_T)}"
-        )
-    weights = _column(estimate.weights)
     lower, upper = _batch.gamma_bounds(
         np.array([estimate.theta_hat]),
-        _batch.gamma_variance(weights, _column(e_T)),
-        weights.max(axis=0),
+        np.array([estimate.variance]),
+        np.array([max(estimate.weights)]),
         level,
     )
     return IntervalResult(method="gamma_wsip", level=level, lower=lower[0], upper=upper[0])

@@ -67,21 +67,15 @@ def check_estimable(fit: BatchEstimate, m: float) -> None:
 
     A finite mileage with a finite reciprocal can still overflow the estimates
     or the weights ``w = 1 / (m * pi_prod)`` when tiny, and underflow ``w^2``
-    to 0 when huge. So ``sum Lambda_0``, which bounds every rate estimate, the
-    Wald variance and the gamma upper bound's moments ``(theta + max w)^2`` and
-    ``gamma_var + (max w)^2`` must be finite, that last variance positive, and
-    both variances positive when ``theta > 0``.
+    to 0 when huge. So ``sum Lambda_0``, which bounds every rate estimate, and
+    the gamma upper bound's moments ``(theta + max w)^2`` and
+    ``variance + (max w)^2`` must be finite, that last variance positive, and
+    the plug-in variance positive when ``theta > 0``.
     """
-    theta, wald_var, gamma_var, w_max = (
-        float(v[0]) for v in (fit.theta, fit.wald_var, fit.gamma_var, fit.w_max)
-    )
-    mean, upper_var = theta + w_max, gamma_var + w_max * w_max
-    moments = (float(fit.Lambda[:, 0, 0].sum()), wald_var, mean * mean, upper_var)
-    if not (
-        all(map(math.isfinite, moments))
-        and upper_var > 0
-        and (not theta > 0 or (wald_var > 0 and gamma_var > 0))
-    ):
+    theta, variance, w_max = (float(v[0]) for v in (fit.theta, fit.variance, fit.w_max))
+    mean, upper_var = theta + w_max, variance + w_max * w_max
+    moments = (float(fit.Lambda[:, 0, 0].sum()), mean * mean, upper_var)
+    if not (all(map(math.isfinite, moments)) and upper_var > 0 and (not theta > 0 or variance > 0)):
         raise InvalidDataError(
             f"mileage m={m!r} does not suit these counts: the rate estimates, "
             "their weights or the interval moments overflow or vanish"
@@ -402,7 +396,8 @@ class RateEstimate:
     termination), ``pi_prod[h]`` their product, and ``weights[h]`` the
     inverse-sampling weight ``1 / (m * pi_prod[h])``. ``theta_hat`` is the
     aggregate surviving-event rate, the sum over strata of the last
-    ``lambda_hat`` entry.
+    ``lambda_hat`` entry, and ``variance`` its plug-in variance
+    ``sum_h weights[h]^2 e_hT``, which the Wald and gamma intervals share.
     """
 
     Lambda_hat: tuple[tuple[float, ...], ...]
@@ -411,6 +406,7 @@ class RateEstimate:
     pi_prod: tuple[float, ...]
     weights: tuple[float, ...]
     theta_hat: float
+    variance: float
 
     @property
     def theta_by_stratum(self) -> tuple[float, ...]:

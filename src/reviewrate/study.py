@@ -238,9 +238,9 @@ def _draw_cell(
     e, n = _batch.generate_counts(lam, pis, m, spec.replications, data_gen)
     est = _batch.estimate_counts(e, n, m)
     if "wald" in spec.methods:
-        bounds["wald"] = _batch.wald_bounds(est.theta, est.wald_var, spec.level)
+        bounds["wald"] = _batch.wald_bounds(est.theta, est.variance, spec.level)
     if "gamma_wsip" in spec.methods:
-        bounds["gamma_wsip"] = _batch.gamma_bounds(est.theta, est.gamma_var, est.w_max, spec.level)
+        bounds["gamma_wsip"] = _batch.gamma_bounds(est.theta, est.variance, est.w_max, spec.level)
     return est
 
 

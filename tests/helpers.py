@@ -1,4 +1,4 @@
-"""Shared high-precision oracles, reference samplers and a two-sample law test for the test suite."""
+"""Shared oracles, reference samplers and a two-sample law test for the test suite."""
 
 import numpy as np
 
@@ -75,12 +75,54 @@ def reference_estimate(strata, m):
     return tuple(Lambda_hat), tuple(lambda_hat), tuple(pi_hat), tuple(pi_prod), weights, theta_hat
 
 
-def reference_variances(strata, m):
-    """The Wald and weighted-sum-of-Poissons variances of ``reference_estimate``, by loop."""
-    _, lambda_hat, _, pi_prod, weights, _ = reference_estimate(strata, m)
-    wald = sum(lam[-1] / prod for lam, prod in zip(lambda_hat, pi_prod)) / m
-    gamma = sum(w * w * s.e[-1] for w, s in zip(weights, strata))
-    return wald, gamma
+def reference_variance(strata, m):
+    """The plug-in variance ``sum_h w_h^2 e_hT`` of ``reference_estimate``, by loop."""
+    weights = reference_estimate(strata, m)[4]
+    return sum(w * w * s.e[-1] for w, s in zip(weights, strata))
+
+
+def em_fixed_point_residual_t2(stratum, lambdas, m=1.0):
+    """Residuals of the two-tier EM fixed-point system at a candidate rate triple.
+
+    The oracle of the closed-form estimator: at a maximum of the likelihood,
+    the expectation-maximization update of the latent class counts must leave
+    the rates unchanged. Each residual is the candidate rate minus the
+    conditional expectation of the matching latent class count given the
+    observed counts; all three vanish exactly at the maximum-likelihood
+    rates, and perturbed points do not. Counts are evaluated at mileage 1, so
+    callers pass rates scaled by ``m`` (the default leaves them untouched).
+
+    The expectation allocates the unreviewed portion of each pool across the
+    classes still alive there, proportionally to the candidate rates. When
+    the surviving-class mass ``lambdas[1] + lambdas[2]`` is zero, there is no
+    mass to allocate proportionally and that allocation term is dropped,
+    which keeps the oracle informative at such degenerate candidate points
+    instead of failing on them.
+    """
+    from reviewrate.estimator import fit_observed
+    from reviewrate.model import InvalidDataError, _float_tuple, check_mileage
+
+    fit_observed((stratum,), 1.0)  # raises on invalid counts
+    if stratum.tiers != 2:
+        raise InvalidDataError(f"the fixed-point system is defined for 2 tiers, got {stratum.tiers}")
+    e, n = stratum.e, stratum.n
+    if e[0] < 1 or e[1] < 1:
+        raise InvalidDataError("the fixed-point system needs a non-terminated stratum (e_0, e_1 >= 1)")
+
+    m = check_mileage(m)
+    lam0, lam1, lam2 = (v * m for v in _float_tuple(lambdas, "candidate rates"))
+    total = lam0 + lam1 + lam2
+    tail = lam1 + lam2
+    if total <= 0:
+        raise InvalidDataError("the candidate rates must have positive total mass")
+
+    def tail_share(lam):
+        return lam / tail if tail > 0 else 0.0
+
+    expect0 = (e[0] - n[0]) * (lam0 / total) + (n[0] - e[1])
+    expect1 = (e[0] - n[0]) * (lam1 / total) + (e[1] - n[1]) * tail_share(lam1) + (n[1] - e[2])
+    expect2 = (e[0] - n[0]) * (lam2 / total) + (e[1] - n[1]) * tail_share(lam2) + e[2]
+    return (lam0 - expect0, lam1 - expect1, lam2 - expect2)
 
 
 # numpy's hypergeometric needs both the drawn class and the rest of the pool below this.

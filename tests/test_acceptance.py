@@ -12,11 +12,12 @@ import pytest
 from scipy import stats
 
 from reviewrate import (
+    Dataset,
+    ReviewConfig,
     RngStream,
     StratumParams,
     StudySpec,
-    em_fixed_point_residual_t2,
-    estimate_lambda,
+    estimate_theta,
     generate_stratum,
     run_sweep,
     sample_binomial,
@@ -27,6 +28,7 @@ from reviewrate import (
 from reviewrate import _batch
 from reviewrate.cli import main
 from reviewrate.study import _scenario_arrays
+from helpers import em_fixed_point_residual_t2
 
 SEED = 0
 
@@ -190,7 +192,8 @@ def test_criterion_5_em_fixed_point_oracle():
         if obs.e[0] < 1 or obs.e[1] < 1:
             continue
         checked += 1
-        mle = estimate_lambda(obs, 1.0)
+        dataset = Dataset(config=ReviewConfig(m=1.0, H=1, T=2), strata=(obs,))
+        mle = estimate_theta(dataset).lambda_hat[0]
         worst_at_mle = max(worst_at_mle, max(abs(r) for r in em_fixed_point_residual_t2(obs, mle)))
         for k in range(3):
             if mle[k] == 0.0:

@@ -1,4 +1,4 @@
-"""Tests for the point estimator and the EM fixed-point verification oracle."""
+"""Tests for the point estimator, checked against the EM fixed-point verification oracle."""
 
 import math
 
@@ -12,17 +12,13 @@ from reviewrate import (
     ReviewConfig,
     RngStream,
     StratumParams,
-    em_fixed_point_residual_t2,
-    estimate_Lambda,
-    estimate_lambda,
-    estimate_pi,
     estimate_theta,
     generate_stratum,
     scenario_rare,
 )
 from reviewrate import _batch
 from reviewrate.study import _scenario_arrays
-from helpers import reference_estimate, reference_variances
+from helpers import em_fixed_point_residual_t2, reference_estimate, reference_variance
 
 
 def make_dataset(strata, m=1.0):
@@ -30,61 +26,66 @@ def make_dataset(strata, m=1.0):
     return Dataset(config=ReviewConfig(m=m, H=len(strata), T=tiers), strata=tuple(strata))
 
 
+def estimate_stratum(stratum, m=1.0):
+    """The estimate of a one-stratum dataset."""
+    return estimate_theta(make_dataset([stratum], m=m))
+
+
 class TestEstimateLambdaCapital:
     def test_partial_review_chain(self):
         s = ObservedStratum(e=(6, 3, 2, 1), n=(3, 2, 1))
-        assert estimate_Lambda(s, 1.0) == (6.0, 6.0, 6.0, 6.0)
+        assert estimate_stratum(s, 1.0).Lambda_hat[0] == (6.0, 6.0, 6.0, 6.0)
 
     def test_complete_review_weights_cancel(self):
         s = ObservedStratum(e=(5, 3, 2, 2), n=(5, 3, 2))
-        assert estimate_Lambda(s, 1.0) == (5.0, 3.0, 2.0, 2.0)
+        assert estimate_stratum(s, 1.0).Lambda_hat[0] == (5.0, 3.0, 2.0, 2.0)
 
     def test_early_termination_zeroes_tail(self):
         s = ObservedStratum(e=(5, 0, 0, 0), n=(2, 0, 0))
-        assert estimate_Lambda(s, 1.0) == (5.0, 0.0, 0.0, 0.0)
+        assert estimate_stratum(s, 1.0).Lambda_hat[0] == (5.0, 0.0, 0.0, 0.0)
 
     def test_invalid_stratum_rejected(self):
         with pytest.raises(InvalidDataError):
-            estimate_Lambda(ObservedStratum(e=(5, 6), n=(3,)), 1.0)
+            estimate_stratum(ObservedStratum(e=(5, 6), n=(3,)))
 
     def test_invalid_mileage(self):
         with pytest.raises(InvalidDataError):
-            estimate_Lambda(ObservedStratum(e=(5, 1), n=(3,)), 0.0)
+            estimate_stratum(ObservedStratum(e=(5, 1), n=(3,)), 0.0)
         with pytest.raises(InvalidDataError):
-            estimate_Lambda(ObservedStratum(e=(5, 1), n=(3,)), "1")
+            estimate_stratum(ObservedStratum(e=(5, 1), n=(3,)), "1")
 
 
 class TestEstimateLambda:
     def test_partial_review_chain(self):
         s = ObservedStratum(e=(6, 3, 2, 1), n=(3, 2, 1))
-        assert estimate_lambda(s, 1.0) == (0.0, 0.0, 0.0, 6.0)
+        assert estimate_stratum(s, 1.0).lambda_hat[0] == (0.0, 0.0, 0.0, 6.0)
 
     def test_complete_review_differences(self):
         s = ObservedStratum(e=(5, 3, 2, 2), n=(5, 3, 2))
-        assert estimate_lambda(s, 1.0) == (2.0, 1.0, 0.0, 2.0)
+        assert estimate_stratum(s, 1.0).lambda_hat[0] == (2.0, 1.0, 0.0, 2.0)
 
     def test_early_termination(self):
         s = ObservedStratum(e=(5, 0, 0, 0), n=(2, 0, 0))
-        assert estimate_lambda(s, 1.0) == (5.0, 0.0, 0.0, 0.0)
+        assert estimate_stratum(s, 1.0).lambda_hat[0] == (5.0, 0.0, 0.0, 0.0)
 
     def test_components_sum_to_pool_rate(self):
         s = ObservedStratum(e=(9, 4, 3, 2), n=(5, 4, 2))
-        lam = estimate_lambda(s, 1.0)
+        lam = estimate_stratum(s, 1.0).lambda_hat[0]
         assert math.isclose(sum(lam), 9.0, rel_tol=1e-12)
 
 
 class TestEstimatePi:
     def test_componentwise_ratio(self):
         s = ObservedStratum(e=(6, 3, 2, 1), n=(3, 2, 1))
-        assert estimate_pi(s) == (0.5, 2 / 3, 0.5)
+        assert estimate_stratum(s).pi_hat[0] == (0.5, 2 / 3, 0.5)
 
     def test_complete_review(self):
         s = ObservedStratum(e=(5, 3, 2, 2), n=(5, 3, 2))
-        assert estimate_pi(s) == (1.0, 1.0, 1.0)
+        assert estimate_stratum(s).pi_hat[0] == (1.0, 1.0, 1.0)
 
     def test_fill_after_termination(self):
         s = ObservedStratum(e=(5, 0, 0, 0), n=(2, 0, 0))
-        assert estimate_pi(s) == (0.4, 1.0, 1.0)
+        assert estimate_stratum(s).pi_hat[0] == (0.4, 1.0, 1.0)
 
 
 class TestEstimateTheta:
@@ -146,11 +147,11 @@ class TestEstimateProperties:
                 pis=tuple(gen.uniform(0.05, 1.0, size=tiers)),
             )
             _, obs = generate_stratum(params, 1.0, root.child(i))
-            Lam = estimate_Lambda(obs, 1.0)
-            lam = estimate_lambda(obs, 1.0)
+            est = estimate_stratum(obs)
+            Lam, lam = est.Lambda_hat[0], est.lambda_hat[0]
             assert all(a >= b for a, b in zip(Lam, Lam[1:]))
             assert all(v >= 0.0 for v in lam)
-            assert all(0 < p <= 1 for p in estimate_pi(obs))
+            assert all(0 < p <= 1 for p in est.pi_hat[0])
 
     def test_scalar_and_batch_estimators_agree_exactly(self):
         gen = np.random.default_rng(21)
@@ -173,10 +174,12 @@ class TestEstimateProperties:
             assert est.pi_hat == pi
             assert est.pi_prod == pi_prod
             assert est.weights == weights
+            assert est.variance == reference_variance(strata, m)
             for h, s in enumerate(strata):
-                assert estimate_Lambda(s, m) == Lambda[h]
-                assert estimate_lambda(s, m) == lam[h]
-                assert estimate_pi(s) == pi[h]
+                one = estimate_stratum(s, m)
+                assert (one.Lambda_hat[0], one.lambda_hat[0], one.pi_hat[0]) == (
+                    Lambda[h], lam[h], pi[h]
+                )
 
     def test_lane_results_do_not_depend_on_lane_count(self):
         # With 12 strata, numpy's axis-0 sum adds a single lane pairwise but many
@@ -194,10 +197,8 @@ class TestEstimateProperties:
                     ObservedStratum(e=tuple(e[h, :, r]), n=tuple(n[h, :, r])) for h in range(12)
                 ]
                 theta = reference_estimate(strata, 1.0)[-1]
-                wald_var, gamma_var = reference_variances(strata, 1.0)
                 assert one.theta[0] == batch.theta[r] == theta
-                assert one.wald_var[0] == batch.wald_var[r] == wald_var
-                assert one.gamma_var[0] == batch.gamma_var[r] == gamma_var
+                assert one.variance[0] == batch.variance[r] == reference_variance(strata, 1.0)
                 # The bootstrap simulates from lane r of the R-lane fit.
                 for field in ("Lambda", "lam", "pi_tier"):
                     lane = getattr(batch, field)[:, :, r]
@@ -230,7 +231,7 @@ class TestEstimateProperties:
 class TestEmFixedPointResidual:
     def test_mle_zeroes_the_system(self):
         s = ObservedStratum(e=(6, 3, 2), n=(3, 2))
-        mle = estimate_lambda(s, 1.0)
+        mle = estimate_stratum(s, 1.0).lambda_hat[0]
         assert mle == (0.0, 0.0, 6.0)
         residuals = em_fixed_point_residual_t2(s, mle)
         assert max(abs(r) for r in residuals) < 1e-10
@@ -276,7 +277,7 @@ class TestEmFixedPointResidual:
             if obs.e[0] < 1 or obs.e[1] < 1:
                 continue
             produced += 1
-            mle = estimate_lambda(obs, 1.0)
+            mle = estimate_stratum(obs, 1.0).lambda_hat[0]
             residuals = em_fixed_point_residual_t2(obs, mle)
             assert max(abs(r) for r in residuals) < 1e-10
             for k in range(3):

@@ -38,7 +38,7 @@ class TestWald:
     def test_single_poisson_closed_form(self):
         # complete review of 4 events: estimate 4, plug-in standard error 2
         ds = single_stratum_dataset((4, 4, 4, 4), (4, 4, 4))
-        iv = ci_wald(estimate_theta(ds), 1.0, 0.9)
+        iv = ci_wald(estimate_theta(ds), 0.9)
         z = 1.6448536269514722
         assert math.isclose(iv.lower, 4 - 2 * z, rel_tol=1e-12)
         assert math.isclose(iv.upper, 4 + 2 * z, rel_tol=1e-12)
@@ -46,38 +46,40 @@ class TestWald:
         assert abs(iv.upper - 7.2897) < 1e-4
 
     def test_zero_estimate_degenerates(self):
-        iv = ci_wald(estimate_theta(EMPTY), 1.0, 0.9)
+        iv = ci_wald(estimate_theta(EMPTY), 0.9)
         assert (iv.lower, iv.upper) == (0.0, 0.0)
 
     def test_width_scales_inverse_sqrt_mileage(self):
-        est = estimate_theta(single_stratum_dataset((6, 3, 2, 1), (3, 2, 1)))
-        w1 = ci_wald(est, 1.0, 0.9).width
-        w4 = ci_wald(est, 4.0, 0.9).width
-        assert w4 == w1 / 2
+        e, n = (6, 3, 2, 1), (3, 2, 1)
+        est1 = estimate_theta(single_stratum_dataset(e, n))
+        w1 = ci_wald(est1, 0.9).width
+        # The same counts over 4 times the mileage: a quarter of the rate and of the width.
+        est4 = estimate_theta(single_stratum_dataset(e, n, m=4.0))
+        assert est4.theta_hat == est1.theta_hat / 4
+        assert ci_wald(est4, 0.9).width == w1 / 4
+        # The same rate over 4 times the mileage, so 4 times the counts: half the width.
+        est4 = estimate_theta(
+            single_stratum_dataset(tuple(4 * v for v in e), tuple(4 * v for v in n), m=4.0)
+        )
+        assert est4.theta_hat == est1.theta_hat
+        assert ci_wald(est4, 0.9).width == w1 / 2
 
     def test_negative_lower_bound_and_clamp(self):
+        # The lower bound is reported as computed, not clamped at zero.
         ds = single_stratum_dataset((1, 1, 1, 1), (1, 1, 1))
-        est = estimate_theta(ds)
-        iv = ci_wald(est, 1.0, 0.9)
-        assert iv.lower < 0
-        clamped = ci_wald(est, 1.0, 0.9, clamp_at_zero=True)
-        assert clamped.lower == 0.0
-        assert clamped.upper == iv.upper
+        assert ci_wald(estimate_theta(ds), 0.9).lower < 0
 
     def test_level_validated(self):
         est = estimate_theta(EMPTY)
-        for level in (0.0, 1.0, 1.5):
+        # A level outside (0, 1) is rejected, and one that is not a real number is not coerced.
+        for level in (0.0, 1.0, 1.5, "0.9"):
             with pytest.raises(InvalidDataError):
-                ci_wald(est, 1.0, level)
-        # A mileage or level that is not a real number is rejected, not coerced.
-        for m, level in (("2", 0.9), (True, 0.9), (1.0, "0.9")):
-            with pytest.raises(InvalidDataError):
-                ci_wald(est, m, level)
+                ci_wald(est, level)
 
 
 class TestGammaWsip:
     def test_no_events_upper_bound_is_exponential_quantile(self):
-        iv = ci_gamma_wsip(estimate_theta(EMPTY), EMPTY, 0.9)
+        iv = ci_gamma_wsip(estimate_theta(EMPTY), 0.9)
         assert iv.lower == 0.0
         assert math.isclose(iv.upper, -math.log(0.05), rel_tol=1e-10)
 
@@ -85,7 +87,7 @@ class TestGammaWsip:
         # complete review, 11 confirmed events: bounds must match the gamma method
         # for one Poisson count, checked against a high-precision inversion
         ds = single_stratum_dataset((11, 11, 11, 11), (11, 11, 11))
-        iv = ci_gamma_wsip(estimate_theta(ds), ds, 0.9)
+        iv = ci_gamma_wsip(estimate_theta(ds), 0.9)
         want_lower = mp_gamma_quantile(0.05, 11.0)
         want_upper = mp_gamma_quantile(0.95, 12.0)
         assert math.isclose(iv.lower, want_lower, rel_tol=1e-10)
@@ -97,7 +99,7 @@ class TestGammaWsip:
         for i in range(60):
             _, ds = generate_dataset(scen, root.child(i))
             est = estimate_theta(ds)
-            iv = ci_gamma_wsip(est, ds, 0.9)
+            iv = ci_gamma_wsip(est, 0.9)
             if est.theta_hat == 0.0:
                 assert iv.lower == 0.0
             else:
@@ -105,7 +107,7 @@ class TestGammaWsip:
 
     def test_level_validated(self):
         with pytest.raises(InvalidDataError):
-            ci_gamma_wsip(estimate_theta(EMPTY), EMPTY, 1.2)
+            ci_gamma_wsip(estimate_theta(EMPTY), 1.2)
 
 
 class TestBootstrap:
@@ -256,8 +258,8 @@ class TestSharedProperties:
         for i, ds in enumerate(self._random_datasets(40)):
             est = estimate_theta(ds)
             for iv in (
-                ci_wald(est, 1.0, 0.9),
-                ci_gamma_wsip(est, ds, 0.9),
+                ci_wald(est, 0.9),
+                ci_gamma_wsip(est, 0.9),
                 ci_bootstrap(ds, 0.9, 200, boot_stream.child(i)),
             ):
                 assert iv.lower <= iv.upper
@@ -268,5 +270,28 @@ class TestSharedProperties:
             if est.theta_hat <= 0:
                 continue
             for level in (0.8, 0.9, 0.95):
-                assert ci_gamma_wsip(est, ds, level).lower <= est.theta_hat
-                assert ci_wald(est, 1.0, level).lower <= est.theta_hat
+                assert ci_gamma_wsip(est, level).lower <= est.theta_hat
+                assert ci_wald(est, level).lower <= est.theta_hat
+
+    def test_one_lane_views_match_the_study_engine_bit_for_bit(self):
+        # A study cell bounds every lane of its R-lane fit at once; the library
+        # intervals on one dataset must give that lane's bounds exactly. With
+        # 12 strata, a one-lane stratum sum would differ if it added pairwise.
+        gen = np.random.default_rng(74)
+        for i in range(40):
+            H = 1 + i % 12
+            lam = gen.uniform(0.0, 6.0, size=(H, 4))
+            pis = gen.uniform(0.05, 1.0, size=(H, 3))
+            m = float(gen.choice([0.3, 1.0, 2.5]))
+            level = float(gen.choice([0.8, 0.9, 0.95]))
+            e, n = _batch.generate_counts(lam, pis, m, 25, gen)
+            fit = _batch.estimate_counts(e, n, m)
+            wald = _batch.wald_bounds(fit.theta, fit.variance, level)
+            gamma = _batch.gamma_bounds(fit.theta, fit.variance, fit.w_max, level)
+            for r in range(25):
+                strata = tuple(ObservedStratum(e=tuple(e[h, :, r]), n=tuple(n[h, :, r]))
+                               for h in range(H))
+                est = estimate_theta(Dataset(config=ReviewConfig(m=m, H=H, T=3), strata=strata))
+                for iv, (lower, upper) in ((ci_wald(est, level), wald),
+                                           (ci_gamma_wsip(est, level), gamma)):
+                    assert (iv.lower, iv.upper) == (lower[r], upper[r])

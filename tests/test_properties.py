@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from reviewrate import (  # noqa: E402
     Dataset,
     InvalidDataError,
-    ObservedStratum,
     RngStream,
     StratumParams,
     ci_bootstrap,
     ci_gamma_wsip,
     ci_wald,
-    estimate_Lambda,
     estimate_theta,
     generate_stratum,
     validate_observed,
@@ -72,15 +70,15 @@ def test_accepted_dataset_estimates_cleanly_or_is_rejected(doc):
         except InvalidDataError:
             return
         # Every interval reads the same checked fit, so none may reject what the estimate took.
-        ci_wald(estimate, dataset.config.m, 0.9)
-        ci_gamma_wsip(estimate, dataset, 0.9)
+        ci_wald(estimate, 0.9)
+        ci_gamma_wsip(estimate, 0.9)
         ci_bootstrap(dataset, 0.9, 100, RngStream(0))
 
 
 @_PROPERTY
 @given(st.integers(1, 4).flatmap(valid_counts), _PLAIN_MILEAGE)
 def test_lambda_hat_is_non_increasing(counts, m):
-    Lambda = estimate_Lambda(ObservedStratum(e=counts["e"], n=counts["n"]), m)
+    Lambda = estimate_theta(Dataset.from_dict({"m": m, "strata": [counts]})).Lambda_hat[0]
     assert all(later <= earlier for earlier, later in zip(Lambda, Lambda[1:]))
 
 
@@ -90,8 +88,8 @@ def test_interval_bounds_are_ordered(doc, seed):
     dataset = Dataset.from_dict(doc)
     estimate = estimate_theta(dataset)
     intervals = (
-        ci_wald(estimate, dataset.config.m, 0.9),
-        ci_gamma_wsip(estimate, dataset, 0.9),
+        ci_wald(estimate, 0.9),
+        ci_gamma_wsip(estimate, 0.9),
         ci_bootstrap(dataset, 0.9, 100, RngStream(seed)),
     )
     assert all(iv.lower <= iv.upper for iv in intervals)
