@@ -1,11 +1,12 @@
 """Command-line interface: generate datasets, estimate rates, run coverage studies.
 
 Exit codes: 0 success, 1 usage error (any bad flag value, including a
-replicate count too large for memory), 2 validation error (malformed files or
-inconsistent data), 3 internal error. All output files are written atomically
-(temp file in the target directory, then rename), and every command is
-deterministic given its flags and seed. The default seed comes from the
-``REVIEWRATE_SEED`` environment variable when set, else 0, read on each call.
+replicate count too large for memory and an output path that cannot be
+written), 2 validation error (malformed files or inconsistent data), 3
+internal error. All output files are written atomically (temp file in the
+target directory, then rename), and every command is deterministic given its
+flags and seed. The default seed comes from the ``REVIEWRATE_SEED``
+environment variable when set, else 0, read on each call.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the process: it depends on nothing but this module, and
@@ -70,16 +71,20 @@ def _stream(args: argparse.Namespace) -> RngStream:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file in the target's directory; an unwritable path is a usage error."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -159,19 +164,16 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         check_bootstrap_replicates(args.B)
     dataset = Dataset.from_dict(_load_json(args.dataset))
     estimate = estimate_theta(dataset)
-    m = dataset.config.m
 
+    views = {
+        "bootstrap": lambda: ci_bootstrap(estimate, level, args.B, _stream(args)),
+        "wald": lambda: ci_wald(estimate, level),
+        "gamma": lambda: ci_gamma_wsip(estimate, level),
+    }
     requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
-    intervals = []
-    for name in requested:
-        if name == "bootstrap":
-            intervals.append(ci_bootstrap(dataset, level, args.B, _stream(args)))
-        elif name == "wald":
-            intervals.append(ci_wald(estimate, level))
-        elif name == "gamma":
-            intervals.append(ci_gamma_wsip(estimate, level))
+    intervals = [views[name]() for name in requested]
 
-    print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={m:g}, "
+    print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={estimate.m:g}, "
           f"{dataset.config.H} strata, {dataset.config.T} tiers)")
     print("stratum  lambda_T_hat  pi_prod_hat  weight")
     for h, (lam_T, prod, w) in enumerate(
@@ -184,7 +186,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     if args.json_out:
         report = {
-            "m": m,
+            "m": estimate.m,
             "theta_hat": estimate.theta_hat,
             "Lambda_hat": [list(v) for v in estimate.Lambda_hat],
             "lambda_hat": [list(v) for v in estimate.lambda_hat],

@@ -13,10 +13,12 @@ Three constructions with different coverage/width trade-offs:
   (it over-covers and is the widest), which is the preferred trade-off when
   under-coverage is the costlier mistake.
 
-The Wald and gamma intervals read one variance, ``RateEstimate.variance``
+All three read one fit, the ``RateEstimate`` of ``estimate_theta``, and
+never the counts. The bootstrap simulates from its rates at its mileage. The
+Wald and gamma intervals read one variance, ``RateEstimate.variance``
 (``sum_h w_h^2 e_hT``, equal to ``(1/m) sum_h lambda_hT / pi_h``): they differ
 only in the distribution they invert and in the gamma upper bound's shift by
-the largest weight. Both are one-lane views of the bounds in ``_batch``,
+the largest weight. Each is a one-lane view of the bounds in ``_batch``,
 which the study applies to every lane of a cell's fit.
 """
 
@@ -26,18 +28,16 @@ import numpy as np
 
 from . import _batch
 from .distributions import RngStream
-from .estimator import fit_observed
-from .model import Dataset, IntervalResult, RateEstimate
-from .model import check_bootstrap_replicates, check_level
+from .model import IntervalResult, RateEstimate, check_bootstrap_replicates, check_level
 
 __all__ = ["ci_bootstrap", "ci_wald", "ci_gamma_wsip"]
 
 
-def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> IntervalResult:
-    """Parametric bootstrap interval from ``B`` re-simulated datasets.
+def ci_bootstrap(estimate: RateEstimate, level: float, B: int, rng: RngStream) -> IntervalResult:
+    """Parametric bootstrap interval from ``B`` datasets re-simulated from the estimate.
 
     Replicates are generated in one batch on the supplied stream, so the
-    result is a deterministic function of ``(dataset, level, B, rng)``.
+    result is a deterministic function of ``(estimate, level, B, rng)``.
     Replicates with a zero estimate are kept: the refitted model genuinely
     produces them. Strata whose fitted surviving rate is 0 add exactly 0 to
     every replicate and are not simulated, and tiers whose fitted sampling
@@ -47,11 +47,8 @@ def ci_bootstrap(dataset: Dataset, level: float, B: int, rng: RngStream) -> Inte
     """
     level = check_level(level)
     B = check_bootstrap_replicates(B)
-    m = dataset.config.m
-    fit = fit_observed(dataset.strata, m)
-    lower, upper = _batch.bootstrap_bounds(
-        fit.lam[:, :, 0], fit.pi_tier[:, :, 0], m, level, B, rng.generator
-    )
+    lam, pis = np.array(estimate.lambda_hat), np.array(estimate.pi_hat)
+    lower, upper = _batch.bootstrap_bounds(lam, pis, estimate.m, level, B, rng.generator)
     return IntervalResult(method="bootstrap", level=level, lower=lower, upper=upper)
 
 

@@ -3,7 +3,8 @@
 All types are immutable value objects. Observed counts are deliberately
 permissive at construction time (any integer content is accepted) so that
 data read from files can be inspected; :func:`validate_observed` performs the
-full consistency check and reports the first violated constraint.
+full consistency check and reports the first violated constraint. The
+module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
-
-from ._batch import BatchEstimate
 
 __all__ = [
     "InvalidDataError",
@@ -60,26 +59,6 @@ def check_mileage(m: float) -> float:
             f"mileage must be positive and finite with a finite reciprocal, got {m!r}"
         )
     return m
-
-
-def check_estimable(fit: BatchEstimate, m: float) -> None:
-    """Raise unless a one-lane fit of valid counts at mileage ``m`` has usable intervals.
-
-    A finite mileage with a finite reciprocal can still overflow the estimates
-    or the weights ``w = 1 / (m * pi_prod)`` when tiny, and underflow ``w^2``
-    to 0 when huge. So ``sum Lambda_0``, which bounds every rate estimate, and
-    the gamma upper bound's moments ``(theta + max w)^2`` and
-    ``variance + (max w)^2`` must be finite, that last variance positive, and
-    the plug-in variance positive when ``theta > 0``.
-    """
-    theta, variance, w_max = (float(v[0]) for v in (fit.theta, fit.variance, fit.w_max))
-    mean, upper_var = theta + w_max, variance + w_max * w_max
-    moments = (float(fit.Lambda[:, 0, 0].sum()), mean * mean, upper_var)
-    if not (all(map(math.isfinite, moments)) and upper_var > 0 and (not theta > 0 or variance > 0)):
-        raise InvalidDataError(
-            f"mileage m={m!r} does not suit these counts: the rate estimates, "
-            "their weights or the interval moments overflow or vanish"
-        )
 
 
 def check_bootstrap_replicates(B: int) -> int:
@@ -398,6 +377,7 @@ class RateEstimate:
     aggregate surviving-event rate, the sum over strata of the last
     ``lambda_hat`` entry, and ``variance`` its plug-in variance
     ``sum_h weights[h]^2 e_hT``, which the Wald and gamma intervals share.
+    ``m`` is the mileage the rates are per, which the bootstrap simulates at.
     """
 
     Lambda_hat: tuple[tuple[float, ...], ...]
@@ -407,6 +387,7 @@ class RateEstimate:
     weights: tuple[float, ...]
     theta_hat: float
     variance: float
+    m: float
 
     @property
     def theta_by_stratum(self) -> tuple[float, ...]:

@@ -113,8 +113,8 @@ class StudySpec:
                 f"unknown study source {self.source!r}; expected one of {STUDY_SOURCES}"
             )
         object.__setattr__(self, "pi1_grid", _float_tuple(self.pi1_grid, "grid values"))
-        if any(not 0 < p <= 1 for p in self.pi1_grid):
-            raise InvalidDataError(f"grid values must lie in (0, 1], got {self.pi1_grid}")
+        if not self.pi1_grid or any(not 0 < p <= 1 for p in self.pi1_grid):
+            raise InvalidDataError(f"the grid needs values in (0, 1], got {self.pi1_grid}")
         for name in ("replications", "B", "num_scenarios"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.replications < 1:
@@ -122,6 +122,8 @@ class StudySpec:
         object.__setattr__(self, "level", check_level(self.level))
         object.__setattr__(self, "master_seed", RngStream(self.master_seed).master_seed)
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:
+            raise InvalidDataError(f"methods must name at least one of {CI_METHODS}")
         for method in self.methods:
             if method not in CI_METHODS:
                 raise InvalidDataError(

@@ -99,10 +99,11 @@ def em_fixed_point_residual_t2(stratum, lambdas, m=1.0):
     which keeps the oracle informative at such degenerate candidate points
     instead of failing on them.
     """
-    from reviewrate.estimator import fit_observed
-    from reviewrate.model import InvalidDataError, _float_tuple, check_mileage
+    from reviewrate.estimator import estimate_theta
+    from reviewrate.model import Dataset, InvalidDataError, ReviewConfig, _float_tuple, check_mileage
 
-    fit_observed((stratum,), 1.0)  # raises on invalid counts
+    # Raises on invalid counts.
+    estimate_theta(Dataset(config=ReviewConfig(m=1.0, H=1, T=stratum.tiers), strata=(stratum,)))
     if stratum.tiers != 2:
         raise InvalidDataError(f"the fixed-point system is defined for 2 tiers, got {stratum.tiers}")
     e, n = stratum.e, stratum.n

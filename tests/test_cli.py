@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import reviewrate
-from reviewrate import Dataset, cli, validate_observed
+from reviewrate import Dataset, _batch, cli, validate_observed
 from reviewrate.cli import main
 from reviewrate.study import CSV_HEADER
 
@@ -269,6 +269,16 @@ class TestEstimate:
         assert main(["generate", scenario_file, "--seed", "9", "--out", str(out)]) == 0
         assert main(["estimate", str(out), "--ci", "all", "--B", "200", "--seed", "4"]) == 0
 
+    def test_all_intervals_read_one_fit(self, tmp_path, scenario_file, monkeypatch):
+        out = tmp_path / "data.json"
+        assert main(["generate", scenario_file, "--seed", "9", "--out", str(out)]) == 0
+        fits = []
+        estimate_counts = _batch.estimate_counts
+        monkeypatch.setattr(_batch, "estimate_counts",
+                            lambda *args: fits.append(args) or estimate_counts(*args))
+        assert main(["estimate", str(out), "--ci", "all", "--B", "200", "--seed", "4"]) == 0
+        assert len(fits) == 1
+
 
 class TestStudy:
     def test_single_replication_smoke(self, tmp_path):
@@ -332,6 +342,29 @@ class TestStudy:
                      "--out", str(out)]) == 1
         assert "--reps or --B too large for memory" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("flag", ["generate --out", "generate --latent", "estimate --json",
+                                  "study --out"])
+def test_unwritable_output_path_is_usage_error(tmp_path, scenario_file, capsys, flag, target):
+    data = tmp_path / "data.json"
+    assert main(["generate", scenario_file, "--out", str(data)]) == 0
+    (tmp_path / "directory").mkdir()
+    bad = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path / target
+    argv = {
+        "generate --out": ["generate", scenario_file, "--out", str(bad)],
+        "generate --latent": ["generate", scenario_file, "--out", str(tmp_path / "d.json"),
+                              "--latent", str(bad)],
+        "estimate --json": ["estimate", str(data), "--ci", "gamma", "--json", str(bad)],
+        "study --out": ["study", "--study", "rare", "--reps", "1", "--grid", "0.5",
+                        "--methods", "wald", "--out", str(bad)],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"usage error: cannot write {bad}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".tmp-*"))
+    assert (tmp_path / "directory").is_dir() and not (tmp_path / "missing").exists()
 
 
 class TestSeedEnvironment:

@@ -112,13 +112,13 @@ class TestGammaWsip:
 
 class TestBootstrap:
     def test_empty_dataset_degenerates(self):
-        iv = ci_bootstrap(EMPTY, 0.9, 500, RngStream(1))
+        iv = ci_bootstrap(estimate_theta(EMPTY), 0.9, 500, RngStream(1))
         assert (iv.lower, iv.upper) == (0.0, 0.0)
 
     def test_single_poisson_reduction_against_direct_oracle(self):
         # complete review makes the refitted model a plain Poisson(9) count
         ds = single_stratum_dataset((9, 9, 9, 9), (9, 9, 9))
-        iv = ci_bootstrap(ds, 0.9, 4000, RngStream(1))
+        iv = ci_bootstrap(estimate_theta(ds), 0.9, 4000, RngStream(1))
         oracle = np.random.default_rng(1001).poisson(9.0, size=4000)
         lo, hi = np.quantile(oracle, [0.05, 0.95])
         assert abs(iv.lower - lo) <= 0.4
@@ -126,16 +126,18 @@ class TestBootstrap:
 
     def test_replicate_count_convergence(self):
         ds = single_stratum_dataset((9, 9, 9, 9), (9, 9, 9))
-        iv1 = ci_bootstrap(ds, 0.9, 10_000, RngStream(21))
-        iv2 = ci_bootstrap(ds, 0.9, 40_000, RngStream(22))
+        est = estimate_theta(ds)
+        iv1 = ci_bootstrap(est, 0.9, 10_000, RngStream(21))
+        iv2 = ci_bootstrap(est, 0.9, 40_000, RngStream(22))
         assert abs(iv1.lower - iv2.lower) <= 0.01
         assert abs(iv1.upper - iv2.upper) <= 0.01
 
     def test_deterministic_given_stream(self):
         scen = scenario_common(0.4)
         _, ds = generate_dataset(scen, RngStream(3))
-        a = ci_bootstrap(ds, 0.9, 300, RngStream(4, (9,)))
-        b = ci_bootstrap(ds, 0.9, 300, RngStream(4, (9,)))
+        est = estimate_theta(ds)
+        a = ci_bootstrap(est, 0.9, 300, RngStream(4, (9,)))
+        b = ci_bootstrap(est, 0.9, 300, RngStream(4, (9,)))
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
     def test_theta_only_refit_is_bit_identical_to_the_estimator(self):
@@ -223,14 +225,15 @@ class TestBootstrap:
         assert gen.bit_generator.state == state
 
     def test_validation(self):
+        est = estimate_theta(EMPTY)
         with pytest.raises(InvalidDataError):
-            ci_bootstrap(EMPTY, 0.9, 50, RngStream(1))
+            ci_bootstrap(est, 0.9, 50, RngStream(1))
         with pytest.raises(InvalidDataError):
-            ci_bootstrap(EMPTY, 1.5, 500, RngStream(1))
+            ci_bootstrap(est, 1.5, 500, RngStream(1))
         with pytest.raises(InvalidDataError):
-            ci_bootstrap(EMPTY, 0.9, 150.5, RngStream(1))
+            ci_bootstrap(est, 0.9, 150.5, RngStream(1))
         with pytest.raises(InvalidDataError):
-            ci_bootstrap(EMPTY, "0.9", 200, RngStream(1))
+            ci_bootstrap(est, "0.9", 200, RngStream(1))
 
 
 class TestSharedProperties:
@@ -260,7 +263,7 @@ class TestSharedProperties:
             for iv in (
                 ci_wald(est, 0.9),
                 ci_gamma_wsip(est, 0.9),
-                ci_bootstrap(ds, 0.9, 200, boot_stream.child(i)),
+                ci_bootstrap(est, 0.9, 200, boot_stream.child(i)),
             ):
                 assert iv.lower <= iv.upper
 
@@ -277,6 +280,8 @@ class TestSharedProperties:
         # A study cell bounds every lane of its R-lane fit at once; the library
         # intervals on one dataset must give that lane's bounds exactly. With
         # 12 strata, a one-lane stratum sum would differ if it added pairwise.
+        # The bootstrap, checked on the first lanes, must draw from the lane's
+        # fit at the dataset's mileage as a study replication does.
         gen = np.random.default_rng(74)
         for i in range(40):
             H = 1 + i % 12
@@ -295,3 +300,9 @@ class TestSharedProperties:
                 for iv, (lower, upper) in ((ci_wald(est, level), wald),
                                            (ci_gamma_wsip(est, level), gamma)):
                     assert (iv.lower, iv.upper) == (lower[r], upper[r])
+                if r < 3:
+                    iv = ci_bootstrap(est, level, 100, RngStream(i, (r,)))
+                    assert (iv.lower, iv.upper) == _batch.bootstrap_bounds(
+                        fit.lam[:, :, r], fit.pi_tier[:, :, r], m, level, 100,
+                        RngStream(i, (r,)).generator,
+                    )

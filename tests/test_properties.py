@@ -72,7 +72,7 @@ def test_accepted_dataset_estimates_cleanly_or_is_rejected(doc):
         # Every interval reads the same checked fit, so none may reject what the estimate took.
         ci_wald(estimate, 0.9)
         ci_gamma_wsip(estimate, 0.9)
-        ci_bootstrap(dataset, 0.9, 100, RngStream(0))
+        ci_bootstrap(estimate, 0.9, 100, RngStream(0))
 
 
 @_PROPERTY
@@ -90,7 +90,7 @@ def test_interval_bounds_are_ordered(doc, seed):
     intervals = (
         ci_wald(estimate, 0.9),
         ci_gamma_wsip(estimate, 0.9),
-        ci_bootstrap(dataset, 0.9, 100, RngStream(seed)),
+        ci_bootstrap(estimate, 0.9, 100, RngStream(seed)),
     )
     assert all(iv.lower <= iv.upper for iv in intervals)
     assert intervals[1].lower >= 0.0

@@ -124,6 +124,9 @@ class TestStudySpec:
         dict(source="fixed-rare", pi1_grid=(True,)),
         dict(source="fixed-rare", master_seed=-1),
         dict(source="fixed-rare", master_seed=2.7),
+        dict(source="fixed-rare", pi1_grid=()),
+        dict(source="fixed-rare", methods=()),
+        dict(source="comprehensive", methods=()),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidDataError):
