@@ -1,12 +1,14 @@
 """Command-line interface: generate datasets, estimate rates, run coverage studies.
 
 Exit codes: 0 success, 1 usage error (any bad flag value, including a
-replicate count too large for memory and an output path that cannot be
-written), 2 validation error (malformed files or inconsistent data), 3
-internal error. All output files are written atomically (temp file in the
-target directory, then rename), and every command is deterministic given its
-flags and seed. The default seed comes from the ``REVIEWRATE_SEED``
-environment variable when set, else 0, read on each call.
+replicate count too large for memory, an output path that cannot be written
+and two outputs on one path), 2 validation error (malformed files or
+inconsistent data), 3 internal error. A command writes all its outputs or
+none: it makes a temp file in each target's directory before it simulates,
+fits or sweeps, so an unwritable output fails before any work, and it renames
+them over their targets only once all are written. Every command is
+deterministic given its flags and seed. The default seed comes from the
+``REVIEWRATE_SEED`` environment variable when set, else 0, read on each call.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the process: it depends on nothing but this module, and
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .distributions import RngStream
 from .estimator import estimate_theta
@@ -70,21 +72,50 @@ def _stream(args: argparse.Namespace) -> RngStream:
         raise UsageError(f"seed must be an integer in [0, 2**64), got {seed}") from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file in the target's directory; an unwritable path is a usage error."""
-    directory = os.path.dirname(os.path.abspath(path))
+@contextlib.contextmanager
+def _staged_outputs(*paths: str | None) -> Iterator[dict[str, str]]:
+    """Write the text the body puts under each path (``None`` skipped): all of them or none.
+
+    A temp file is made in each target's directory before the body runs, so an
+    unwritable path, or two outputs on one path, is a usage error before any
+    work. After the body every temp file is written, and only then is each
+    renamed over its target. Any exception, Ctrl-C included, removes them.
+    """
+    paths = [path for path in paths if path is not None]
+    if len(paths) > 1 and len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise UsageError(f"two outputs share one path: {', '.join(paths)}")
+    texts: dict[str, str] = {}
+    staged: list[tuple[str, str, IO[str]]] = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+            for path in paths:
+                if os.path.isdir(path or "."):  # the final rename would fail on a directory
+                    raise UsageError(f"cannot write {path}: is a directory")
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".tmp-", text=True)
+                staged.append((path, tmp, os.fdopen(fd, "w")))
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+        yield texts
+        try:
+            for path, _, fh in staged:
+                with fh:
+                    fh.write(texts[path])
+            for path, tmp, _ in staged:
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+    except BaseException:
+        for _, tmp, fh in staged:
+            fh.close()
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
+def _unwritable(path: str, exc: OSError) -> UsageError:
+    """An OS error on an output path: the flag named a path that cannot be written."""
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -149,11 +180,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = Scenario.from_dict(_load_json(args.scenario))
-    latents, dataset = generate_dataset(scenario, _stream(args))
-    _atomic_write(args.out, json.dumps(dataset.to_dict(), indent=2) + "\n")
-    if args.latent:
-        doc = {"strata": [{"x": [list(row) for row in latent.x]} for latent in latents]}
-        _atomic_write(args.latent, json.dumps(doc, indent=2) + "\n")
+    with _staged_outputs(args.out, args.latent) as texts:
+        latents, dataset = generate_dataset(scenario, _stream(args))
+        texts[args.out] = json.dumps(dataset.to_dict(), indent=2) + "\n"
+        if args.latent:
+            doc = {"strata": [{"x": [list(row) for row in latent.x]} for latent in latents]}
+            texts[args.latent] = json.dumps(doc, indent=2) + "\n"
     print(f"wrote {args.out}" + (f" and {args.latent}" if args.latent else ""))
     return 0
 
@@ -163,42 +195,43 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         level = check_level(args.level)
         check_bootstrap_replicates(args.B)
     dataset = Dataset.from_dict(_load_json(args.dataset))
-    estimate = estimate_theta(dataset)
+    with _staged_outputs(args.json_out) as texts:
+        estimate = estimate_theta(dataset)
 
-    views = {
-        "bootstrap": lambda: ci_bootstrap(estimate, level, args.B, _stream(args)),
-        "wald": lambda: ci_wald(estimate, level),
-        "gamma": lambda: ci_gamma_wsip(estimate, level),
-    }
-    requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
-    intervals = [views[name]() for name in requested]
-
-    print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={estimate.m:g}, "
-          f"{dataset.config.H} strata, {dataset.config.T} tiers)")
-    print("stratum  lambda_T_hat  pi_prod_hat  weight")
-    for h, (lam_T, prod, w) in enumerate(
-        zip(estimate.theta_by_stratum, estimate.pi_prod, estimate.weights)
-    ):
-        print(f"{h:>7}  {lam_T:>12.6g}  {prod:>11.6g}  {w:>6.4g}")
-    for iv in intervals:
-        print(f"{iv.method:>10} {100 * iv.level:g}% interval: "
-              f"[{iv.lower:.6g}, {iv.upper:.6g}]  width {iv.width:.6g}")
-
-    if args.json_out:
-        report = {
-            "m": estimate.m,
-            "theta_hat": estimate.theta_hat,
-            "Lambda_hat": [list(v) for v in estimate.Lambda_hat],
-            "lambda_hat": [list(v) for v in estimate.lambda_hat],
-            "pi_hat": [list(v) for v in estimate.pi_hat],
-            "pi_prod": list(estimate.pi_prod),
-            "weights": list(estimate.weights),
-            "intervals": [
-                {"method": iv.method, "level": iv.level, "lower": iv.lower, "upper": iv.upper}
-                for iv in intervals
-            ],
+        views = {
+            "bootstrap": lambda: ci_bootstrap(estimate, level, args.B, _stream(args)),
+            "wald": lambda: ci_wald(estimate, level),
+            "gamma": lambda: ci_gamma_wsip(estimate, level),
         }
-        _atomic_write(args.json_out, json.dumps(report, indent=2) + "\n")
+        requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
+        intervals = [views[name]() for name in requested]
+
+        print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={estimate.m:g}, "
+              f"{dataset.config.H} strata, {dataset.config.T} tiers)")
+        print("stratum  lambda_T_hat  pi_prod_hat  weight")
+        for h, (lam_T, prod, w) in enumerate(
+            zip(estimate.theta_by_stratum, estimate.pi_prod, estimate.weights)
+        ):
+            print(f"{h:>7}  {lam_T:>12.6g}  {prod:>11.6g}  {w:>6.4g}")
+        for iv in intervals:
+            print(f"{iv.method:>10} {100 * iv.level:g}% interval: "
+                  f"[{iv.lower:.6g}, {iv.upper:.6g}]  width {iv.width:.6g}")
+
+        if args.json_out:
+            report = {
+                "m": estimate.m,
+                "theta_hat": estimate.theta_hat,
+                "Lambda_hat": [list(v) for v in estimate.Lambda_hat],
+                "lambda_hat": [list(v) for v in estimate.lambda_hat],
+                "pi_hat": [list(v) for v in estimate.pi_hat],
+                "pi_prod": list(estimate.pi_prod),
+                "weights": list(estimate.weights),
+                "intervals": [
+                    {"method": iv.method, "level": iv.level, "lower": iv.lower, "upper": iv.upper}
+                    for iv in intervals
+                ],
+            }
+            texts[args.json_out] = json.dumps(report, indent=2) + "\n"
     return 0
 
 
@@ -219,8 +252,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
             num_scenarios=args.num_scenarios,
             master_seed=seed,
         )
-    rows = run_sweep(spec)
-    _atomic_write(args.out, rows_to_csv(rows))
+    with _staged_outputs(args.out) as texts:
+        rows = run_sweep(spec)
+        texts[args.out] = rows_to_csv(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

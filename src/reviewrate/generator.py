@@ -21,7 +21,7 @@ import numpy as np
 from . import _batch
 from .distributions import RngStream
 from .model import Dataset, InvalidDataError, LatentTable, ObservedStratum, Scenario
-from .model import StratumParams, check_mileage, validate_observed
+from .model import ReviewConfig, StratumParams, validate_observed
 
 __all__ = ["generate_stratum", "generate_dataset"]
 
@@ -31,42 +31,29 @@ def generate_stratum(
 ) -> tuple[LatentTable, ObservedStratum]:
     """Simulate one stratum, returning both the latent truth and the observed counts.
 
-    The review of tier t runs only while the incoming pool is non-empty; a
-    non-empty pool is always reviewed at least once, with the forced single
-    review drawn uniformly from the pool. An empty pool terminates the
-    stratum with zero-filled counts. A pool of 2**53 events or more, which
-    no dataset can hold, raises :class:`InvalidDataError`.
+    A one-stratum view of :func:`generate_dataset` on the H=1 scenario of
+    ``params`` at mileage ``m``, under that scenario's rules: a positive
+    finite ``m``, T >= 1 tiers and ``m * sum(params.lambdas)`` within the
+    Poisson limit. A breach raises :class:`InvalidDataError`.
     """
-    lam, pis = np.array([params.lambdas], dtype=float), np.array([params.pis], dtype=float)
-    latents, observed = _simulate(lam, pis, m, rng)
-    return latents[0], observed[0]
+    scenario = Scenario(config=ReviewConfig(m=m, H=1, T=params.tiers), strata=(params,))
+    latents, dataset = generate_dataset(scenario, rng)
+    return latents[0], dataset.strata[0]
 
 
 def generate_dataset(scenario: Scenario, rng: RngStream) -> tuple[tuple[LatentTable, ...], Dataset]:
     """Simulate every stratum of a scenario in one draw from ``rng``.
 
-    The strata share the stream: stratum h is row h of every block the
-    batch sampler and the completion draw, so an H=1 scenario gives what
-    ``generate_stratum`` gives on the same stream.
+    Stratum h is row h of every block the batch sampler and the completion
+    draw; ``Scenario`` has checked the mileage, T >= 1 and the Poisson limit.
+    A tier reviews a non-empty pool at least once (a forced single review is
+    uniform over the pool); an empty pool ends the stratum with zero-filled
+    counts. A pool of 2**53 events or more, which no dataset can hold, raises
+    :class:`InvalidDataError`.
     """
     lam, pis = _scenario_arrays(scenario)
-    latents, observed = _simulate(lam, pis, scenario.config.m, rng)
-    return latents, Dataset(config=scenario.config, strata=observed)
-
-
-def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The scenario's class rates (H, T+1) and sampling rates (H, T) as arrays."""
-    lam = np.array([s.lambdas for s in scenario.strata], dtype=float)
-    pis = np.array([s.pis for s in scenario.strata], dtype=float)
-    return lam, pis
-
-
-def _simulate(
-    lam: np.ndarray, pis: np.ndarray, m: float, rng: RngStream
-) -> tuple[tuple[LatentTable, ...], tuple[ObservedStratum, ...]]:
-    m = check_mileage(m)
     gen = rng.generator
-    e, n = _batch.generate_counts(lam, pis, m, 1, gen)
+    e, n = _batch.generate_counts(lam, pis, scenario.config.m, 1, gen)
     e, n = e[:, :, 0], n[:, :, 0]
     largest_pool = int(e[:, 0].max())
     if largest_pool >= 2**53:
@@ -74,8 +61,7 @@ def _simulate(
             f"a stratum drew a pool of {largest_pool} events; dataset counts must stay "
             f"below 2**53, where the estimator's floats are exact"
         )
-    H, width = e.shape
-    T = width - 1
+    H, T = scenario.config.H, scenario.config.T
     tail = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
 
     # x[h, k, s]: events of class k still present in escalation set s, for k >= s.
@@ -98,4 +84,11 @@ def _simulate(
         assert check, f"generated stratum violates an invariant: {check.reason}"
         latents.append(latent)
         observed.append(obs)
-    return tuple(latents), tuple(observed)
+    return tuple(latents), Dataset(config=scenario.config, strata=tuple(observed))
+
+
+def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The scenario's class rates (H, T+1) and sampling rates (H, T) as arrays."""
+    lam = np.array([s.lambdas for s in scenario.strata], dtype=float)
+    pis = np.array([s.pis for s in scenario.strata], dtype=float)
+    return lam, pis

@@ -367,6 +367,47 @@ def test_unwritable_output_path_is_usage_error(tmp_path, scenario_file, capsys, 
     assert (tmp_path / "directory").is_dir() and not (tmp_path / "missing").exists()
 
 
+def test_unwritable_study_output_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    sweeps = []
+    monkeypatch.setattr(cli, "run_sweep", sweeps.append)
+    monkeypatch.chdir(tmp_path)
+    assert main(["study", "--study", "rare", "--grid", "0.5", "--reps", "5",
+                 "--methods", "wald", "--out", "missing/x.csv"]) == 1
+    assert "usage error: cannot write missing/x.csv: " in capsys.readouterr().err
+    assert sweeps == []
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_unwritable_latent_output_leaves_no_dataset(tmp_path, scenario_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", scenario_file, "--out", "d.json",
+                 "--latent", "missing/l.json"]) == 1
+    assert not (tmp_path / "d.json").exists()
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize("latent", ["x.json", "./x.json", "sub/../x.json", "link.json"])
+def test_two_outputs_on_one_path_is_usage_error(tmp_path, scenario_file, monkeypatch, capsys,
+                                                latent):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to("x.json")
+    assert main(["generate", scenario_file, "--out", "x.json", "--latent", latent]) == 1
+    assert "usage error: two outputs share one path" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_interrupted_command_leaves_no_temp_file(tmp_path, scenario_file, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "generate_dataset", interrupt)
+    out, latent = tmp_path / "d.json", tmp_path / "l.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["generate", scenario_file, "--out", str(out), "--latent", str(latent)])
+    assert not out.exists() and not latent.exists()
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 class TestSeedEnvironment:
     def test_env_seed_used_as_default(self, tmp_path, scenario_file, monkeypatch):
         out_env, out_flag = tmp_path / "env.json", tmp_path / "flag.json"

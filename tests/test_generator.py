@@ -95,6 +95,19 @@ class TestGenerateStratum:
         with pytest.raises(InvalidDataError):
             generate_stratum(params, "1", RngStream(1))
 
+    @pytest.mark.parametrize("lambdas", [(4.7e18, 4.7e18), (1e19, 1.0)])
+    def test_pool_rate_beyond_the_poisson_limit_is_validation_error(self, lambdas):
+        # The scenario's limit, checked before the int64 pool counts could wrap.
+        params = StratumParams(lambdas=lambdas, pis=(0.5,))
+        with pytest.raises(InvalidDataError, match="exceeds the Poisson limit"):
+            generate_stratum(params, 1.0, RngStream(1))
+
+    def test_zero_tiers_is_validation_error(self):
+        # No dataset holds a stratum without tiers, so none is simulated.
+        params = StratumParams(lambdas=(3.0,), pis=())
+        with pytest.raises(InvalidDataError, match="tier count must be at least 1"):
+            generate_stratum(params, 1.0, RngStream(1))
+
 
 class TestGenerateDataset:
     def test_single_stratum_reduction(self):
