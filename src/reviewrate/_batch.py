@@ -84,6 +84,7 @@ def generate_counts(
 
     ``lambdas`` has shape (H, T+1) and ``pis`` shape (H, T). Returns integer
     arrays ``e`` of shape (H, T+1, size) and ``n`` of shape (H, T, size).
+    A ``size`` whose arrays numpy cannot hold raises ``MemoryError`` before any draw.
 
     Only the observables are drawn, by Poisson thinning of each stratum's
     review tree. Without the forced single review each event is reviewed at
@@ -124,8 +125,11 @@ def generate_counts(
     # reach[:, t]: m times the chance that an event is reviewed at tiers 1..t.
     reach = m * np.cumprod(np.hstack([np.ones((H, 1)), pis]), axis=1)
 
-    e = np.empty((H, T + 1, size), dtype=np.int64)
-    n = np.empty((H, T, size), dtype=np.int64)
+    try:
+        e = np.empty((H, T + 1, size), dtype=np.int64)
+        n = np.empty((H, T, size), dtype=np.int64)
+    except ValueError as exc:  # numpy's refusal of a lane count past its address space
+        raise MemoryError(f"{size} lanes do not fit in memory") from exc
     e[:, T] = 0
     _add_poisson(e[:, T], reach[:, T] * lambdas[:, T], gen, out=e[:, T])
     for t in range(T, 0, -1):

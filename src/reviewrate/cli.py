@@ -128,6 +128,9 @@ def _load_json(path: str) -> dict:
         raise InvalidDataError(
             f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    # Text that is not UTF-8, nesting too deep to parse, an integer past Python's digit limit.
+    except (ValueError, RecursionError) as exc:
+        raise InvalidDataError(f"cannot parse {path}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import _batch
-from .model import Dataset, InvalidDataError, RateEstimate, validate_observed
+from .model import Dataset, InvalidDataError, RateEstimate
 
 __all__ = ["estimate_theta"]
 
@@ -52,11 +52,10 @@ def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
 
 
 def estimate_theta(dataset: Dataset) -> RateEstimate:
-    """Full point estimate for a dataset: per-stratum rates, weights, the aggregate and its variance."""
-    for h, stratum in enumerate(dataset.strata):
-        check = validate_observed(stratum)
-        if not check:
-            raise InvalidDataError(f"invalid stratum {h}: {check.reason}")
+    """Full point estimate for a dataset: per-stratum rates, weights, the aggregate and its variance.
+
+    The ``Dataset`` has checked its counts; only a mileage that does not suit them raises here.
+    """
     m = dataset.config.m
     e = np.array([s.e for s in dataset.strata], dtype=np.int64)
     n = np.array([s.n for s in dataset.strata], dtype=np.int64)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import _batch
 from .distributions import RngStream
-from .model import Dataset, InvalidDataError, LatentTable, ObservedStratum, Scenario
-from .model import ReviewConfig, StratumParams, validate_observed
+from .model import Dataset, LatentTable, ObservedStratum, ReviewConfig, Scenario, StratumParams
 
 __all__ = ["generate_stratum", "generate_dataset"]
 
@@ -48,19 +47,16 @@ def generate_dataset(scenario: Scenario, rng: RngStream) -> tuple[tuple[LatentTa
     draw; ``Scenario`` has checked the mileage, T >= 1 and the Poisson limit.
     A tier reviews a non-empty pool at least once (a forced single review is
     uniform over the pool); an empty pool ends the stratum with zero-filled
-    counts. A pool of 2**53 events or more, which no dataset can hold, raises
-    :class:`InvalidDataError`.
+    counts. The observed counts become the ``Dataset`` before the latent
+    table is completed, so a pool of 2**53 events or more, which no dataset
+    can hold, raises :class:`InvalidDataError` before any multinomial draw.
     """
     lam, pis = _scenario_arrays(scenario)
     gen = rng.generator
     e, n = _batch.generate_counts(lam, pis, scenario.config.m, 1, gen)
     e, n = e[:, :, 0], n[:, :, 0]
-    largest_pool = int(e[:, 0].max())
-    if largest_pool >= 2**53:
-        raise InvalidDataError(
-            f"a stratum drew a pool of {largest_pool} events; dataset counts must stay "
-            f"below 2**53, where the estimator's floats are exact"
-        )
+    observed = (ObservedStratum(e=eh, n=nh) for eh, nh in zip(e.tolist(), n.tolist()))
+    dataset = Dataset(config=scenario.config, strata=tuple(observed))
     H, T = scenario.config.H, scenario.config.T
     tail = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
 
@@ -75,16 +71,12 @@ def generate_dataset(scenario: Scenario, rng: RngStream) -> tuple[tuple[LatentTa
         pvals = weights / weights.sum(axis=1, keepdims=True)
         x[:, s:, s] += gen.multinomial(e[:, s] - n[:, s], pvals)
 
-    latents, observed = [], []
-    for h in range(H):
-        latent = LatentTable(x=tuple(row[: k + 1] for k, row in enumerate(x[h].tolist())))
-        obs = ObservedStratum(e=tuple(e[h].tolist()), n=tuple(n[h].tolist()))
+    latents = tuple(
+        LatentTable(x=tuple(row[: k + 1] for k, row in enumerate(xh))) for xh in x.tolist()
+    )
+    for latent, obs in zip(latents, dataset.strata):
         assert latent.escalation_totals() == obs.e, "latent columns disagree with pools"
-        check = validate_observed(obs, tiers=T)
-        assert check, f"generated stratum violates an invariant: {check.reason}"
-        latents.append(latent)
-        observed.append(obs)
-    return tuple(latents), Dataset(config=scenario.config, strata=tuple(observed))
+    return latents, dataset
 
 
 def _scenario_arrays(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

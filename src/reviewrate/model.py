@@ -1,10 +1,12 @@
 """Domain types shared by the generator, estimator, interval, and study modules.
 
-All types are immutable value objects. Observed counts are deliberately
-permissive at construction time (any integer content is accepted) so that
-data read from files can be inspected; :func:`validate_observed` performs the
-full consistency check and reports the first violated constraint. The
-module imports nothing else from the package.
+All types are immutable value objects. An ``ObservedStratum`` is deliberately
+permissive (any integer content is accepted) so that a single stratum read
+from a file can be inspected; :func:`validate_observed` performs the full
+consistency check and reports the first violated constraint. A ``Dataset`` is
+checked: it runs that check on each of its strata when it is built, so every
+dataset holds counts the estimator is defined on. The module imports nothing
+else from the package.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def validate_observed(stratum: ObservedStratum, tiers: int | None = None) -> Val
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed counts for every stratum under one configuration."""
+    """Observed counts for every stratum, each checked by :func:`validate_observed` at T tiers."""
 
     config: ReviewConfig
     strata: tuple[ObservedStratum, ...]
@@ -335,11 +337,9 @@ class Dataset:
                 f"expected {self.config.H} strata, got {len(self.strata)}"
             )
         for i, s in enumerate(self.strata):
-            if len(s.e) != self.config.T + 1 or len(s.n) != self.config.T:
-                raise InvalidDataError(
-                    f"stratum {i} has shape e[{len(s.e)}]/n[{len(s.n)}], "
-                    f"expected e[{self.config.T + 1}]/n[{self.config.T}]"
-                )
+            check = validate_observed(s, tiers=self.config.T)
+            if not check:
+                raise InvalidDataError(f"invalid stratum {i}: {check.reason}")
 
     def to_dict(self) -> dict:
         return {

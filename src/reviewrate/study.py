@@ -378,10 +378,10 @@ def run_sweep(spec: StudySpec) -> list[CoverageRow]:
             if not bootstrap:
                 submit(cell_rows, _draw_cell, scenario, spec, data_gen, bounds)
                 continue
-            # Allocated before the draw and any bootstrap generator, so a count
-            # of replications too large for memory fails here, at once.
-            lower, upper = bounds["bootstrap"] = (np.empty(R), np.empty(R))
+            # A count of replications too large for memory fails in the draw's
+            # first allocation, before any draw or bootstrap generator.
             est = _draw_cell(scenario, spec, data_gen, bounds)
+            lower, upper = bounds["bootstrap"] = (np.empty(R), np.empty(R))
             boot_root = cell_stream.child(1)
             for r in range(R):
                 submit(cell_rows if r == R - 1 else None, _bootstrap_replication, est, r,

@@ -344,6 +344,43 @@ class TestStudy:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00{",
+    b'{"m": 1, "strata": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"m": 1, "strata": [{"e": [' + b"9" * 5000 + b', 3], "n": [3]}]}',
+], ids=["not-utf-8", "nested-too-deep", "integer-too-long"])
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+def test_unparsable_input_file_is_validation_error(tmp_path, capsys, content, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    out = tmp_path / "x.json"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "generate" else [])
+    assert main(argv) == 2
+    assert f"validation error: cannot parse {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [2**61, 2**63 - 1, 10**20], ids=["2**61", "2**63-1", "1e20"])
+@pytest.mark.parametrize("flags", [
+    ["estimate", "{data}", "--ci", "bootstrap", "--B", "{count}"],
+    ["estimate", "{empty}", "--ci", "bootstrap", "--B", "{count}"],
+    ["study", "--study", "common", "--grid", "0.5", "--reps", "{count}", "--methods", "wald"],
+    ["study", "--study", "common", "--grid", "0.5", "--reps", "{count}"],
+    ["study", "--study", "common", "--grid", "0.5", "--reps", "1", "--B", "{count}",
+     "--methods", "bootstrap"],
+], ids=["estimate-B", "estimate-B-no-survivors", "study-reps", "study-reps-all-methods",
+        "study-B"])
+def test_replicates_past_numpy_address_space_are_usage_error(tmp_path, capsys, flags, count):
+    # numpy refuses these shapes with a ValueError, not a MemoryError.
+    data, empty, out = tmp_path / "d.json", tmp_path / "empty.json", tmp_path / "x.csv"
+    data.write_text('{"m": 1.0, "strata": [{"e": [10, 5], "n": [10]}]}')
+    empty.write_text('{"m": 1.0, "strata": [{"e": [10, 0], "n": [10]}]}')
+    argv = [f.format(data=data, empty=empty, count=count) for f in flags]
+    assert main([*argv, "--out", str(out)] if argv[0] == "study" else argv) == 1
+    assert "too large for memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("flag", ["generate --out", "generate --latent", "estimate --json",
                                   "study --out"])

@@ -166,6 +166,26 @@ class TestDataset:
         with pytest.raises(InvalidDataError):
             Dataset(config=ReviewConfig(m=1.0, H=1, T=2), strata=(self._stratum(),))
 
+    def test_invalid_stratum_rejected_at_construction(self):
+        bad = ObservedStratum(e=(6, 7, 2, 1), n=(3, 2, 1))
+        with pytest.raises(InvalidDataError, match="invalid stratum 1: "):
+            Dataset(config=ReviewConfig(m=1.0, H=2, T=3), strata=(self._stratum(), bad))
+
+    @pytest.mark.parametrize("e, n, reason", [
+        ([5, -1], [3], "negative escalation count"),
+        ([5, 1], [-3], "negative review count"),
+        ([5, 4, 1], [6, 4], "exceeds the pool"),
+        ([5, 4], [3], "exceeds the review count"),
+        ([5, 0], [0], "must be reviewed"),
+        ([5, 0, 2], [2, 1], "stay zero after an empty pool"),
+        ([2**53, 1], [1], r"below 2\*\*53"),
+    ], ids=["negative-e", "negative-n", "review-above-pool", "escalation-above-review",
+            "unreviewed-pool", "counts-after-empty-pool", "count-2**53"])
+    def test_from_dict_rejects_each_count_rule(self, e, n, reason):
+        good = {"e": [1] * len(e), "n": [1] * len(n)}
+        with pytest.raises(InvalidDataError, match=f"invalid stratum 1: .*{reason}"):
+            Dataset.from_dict({"m": 1.0, "strata": [good, {"e": e, "n": n}]})
+
     def test_malformed_document(self):
         with pytest.raises(InvalidDataError):
             Dataset.from_dict({"m": 1.0})
