@@ -9,71 +9,22 @@ bootstrap, normal approximation, and a gamma method on a weighted sum of
 independent Poissons), and measures their coverage in Monte Carlo studies.
 """
 
-from .distributions import RngStream, sample_binomial, sample_mv_hypergeometric, sample_poisson
-from .estimator import estimate_theta
-from .generator import generate_dataset, generate_stratum
-from .intervals import ci_bootstrap, ci_gamma_wsip, ci_wald
-from .model import (
-    CI_METHODS,
-    Dataset,
-    IntervalResult,
-    InvalidDataError,
-    LatentTable,
-    ObservedStratum,
-    RateEstimate,
-    ReviewConfig,
-    Scenario,
-    StratumParams,
-    ValidationResult,
-    validate_observed,
-)
-from .study import (
-    CoverageRow,
-    StudySpec,
-    WindowSummary,
-    expected_observed_tp,
-    rows_to_csv,
-    run_sweep,
-    scenario_common,
-    scenario_comprehensive,
-    scenario_rare,
-    summarize_comprehensive,
-)
+from . import distributions, estimator, generator, intervals, model, study
+from .distributions import *
+from .estimator import *
+from .generator import *
+from .intervals import *
+from .model import *
+from .study import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RngStream",
-    "sample_poisson",
-    "sample_binomial",
-    "sample_mv_hypergeometric",
-    "ReviewConfig",
-    "StratumParams",
-    "Scenario",
-    "LatentTable",
-    "ObservedStratum",
-    "Dataset",
-    "RateEstimate",
-    "IntervalResult",
-    "ValidationResult",
-    "InvalidDataError",
-    "validate_observed",
-    "CI_METHODS",
-    "generate_stratum",
-    "generate_dataset",
-    "estimate_theta",
-    "ci_bootstrap",
-    "ci_wald",
-    "ci_gamma_wsip",
-    "StudySpec",
-    "CoverageRow",
-    "WindowSummary",
-    "scenario_common",
-    "scenario_rare",
-    "scenario_comprehensive",
-    "expected_observed_tp",
-    "run_sweep",
-    "summarize_comprehensive",
-    "rows_to_csv",
+    *distributions.__all__,
+    *estimator.__all__,
+    *generator.__all__,
+    *intervals.__all__,
+    *model.__all__,
+    *study.__all__,
     "__version__",
 ]

@@ -194,9 +194,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
     with _flag_values():
         level = check_level(args.level)
-        check_bootstrap_replicates(args.B)
+        if "bootstrap" in requested:  # --B and --seed are read by the bootstrap only
+            check_bootstrap_replicates(args.B)
     dataset = Dataset.from_dict(_load_json(args.dataset))
     with _staged_outputs(args.json_out) as texts:
         estimate = estimate_theta(dataset)
@@ -206,7 +208,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "wald": lambda: ci_wald(estimate, level),
             "gamma": lambda: ci_gamma_wsip(estimate, level),
         }
-        requested = {"all": _CLI_METHODS, "none": ()}.get(args.ci, (args.ci,))
         intervals = [views[name]() for name in requested]
 
         print(f"theta_hat: {estimate.theta_hat:.6g}  (mileage m={estimate.m:g}, "
@@ -288,3 +289,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -1,7 +1,9 @@
-"""Seeded random streams and exact scalar samplers.
+"""Seeded random streams, and the exact scalar samplers the tests draw from.
 
-No package code draws from the scalar samplers: the simulator is the batch
-sampler in ``_batch``. They delegate to numpy's exact samplers (no normal
+``RngStream`` is the module's one public name. No package code draws from
+the scalar samplers, which are not package API: the simulator is the batch
+sampler in ``_batch``, and the samplers stay as the reference the tests
+check its law against. They delegate to numpy's exact samplers (no normal
 approximation at large rates), which need a Poisson rate below about 9.2e18
 and, for the hypergeometric, both the drawn class and the rest of the pool
 below 1e9 items. The quantile functions the intervals invert live in
@@ -17,12 +19,7 @@ import numpy as np
 
 from .model import InvalidDataError, _int_tuple, _real, check_integer
 
-__all__ = [
-    "RngStream",
-    "sample_poisson",
-    "sample_binomial",
-    "sample_mv_hypergeometric",
-]
+__all__ = ["RngStream"]
 
 
 class RngStream:

@@ -12,39 +12,19 @@ aggregate rate is the sum over strata of the last per-class rate. An empty
 pool at any tier zeroes every later estimate. ``estimate_theta`` is the one
 place where counts become a fit, one lane of ``_batch.estimate_counts``, and
 its result carries all that the three intervals read: the rates and mileage
-the bootstrap simulates at, and the Wald and gamma plug-in variance.
+the bootstrap simulates at, and the Wald and gamma plug-in variance. The
+``RateEstimate`` checks itself when built, so a mileage whose estimates,
+weights or interval moments overflow or vanish raises there.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _batch
-from .model import Dataset, InvalidDataError, RateEstimate
+from .model import Dataset, RateEstimate
 
 __all__ = ["estimate_theta"]
-
-
-def _check_estimable(fit: _batch.BatchEstimate, m: float) -> None:
-    """Raise unless a one-lane fit of valid counts at mileage ``m`` has usable intervals.
-
-    A finite mileage with a finite reciprocal can still overflow the estimates
-    or the weights ``w = 1 / (m * pi_prod)`` when tiny, and underflow ``w^2``
-    to 0 when huge. So ``sum Lambda_0``, which bounds every rate estimate, and
-    the gamma upper bound's moments ``(theta + max w)^2`` and
-    ``variance + (max w)^2`` must be finite, that last variance positive, and
-    the plug-in variance positive when ``theta > 0``.
-    """
-    theta, variance, w_max = (float(v[0]) for v in (fit.theta, fit.variance, fit.w_max))
-    mean, upper_var = theta + w_max, variance + w_max * w_max
-    moments = (float(fit.Lambda[:, 0, 0].sum()), mean * mean, upper_var)
-    if not (all(map(math.isfinite, moments)) and upper_var > 0 and (not theta > 0 or variance > 0)):
-        raise InvalidDataError(
-            f"mileage m={m!r} does not suit these counts: the rate estimates, "
-            "their weights or the interval moments overflow or vanish"
-        )
 
 
 def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -54,14 +34,14 @@ def _rows(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
 def estimate_theta(dataset: Dataset) -> RateEstimate:
     """Full point estimate for a dataset: per-stratum rates, weights, the aggregate and its variance.
 
-    The ``Dataset`` has checked its counts; only a mileage that does not suit them raises here.
+    The ``Dataset`` has checked its counts; only a mileage that does not suit them raises,
+    when the ``RateEstimate`` checks itself.
     """
     m = dataset.config.m
     e = np.array([s.e for s in dataset.strata], dtype=np.int64)
     n = np.array([s.n for s in dataset.strata], dtype=np.int64)
-    with np.errstate(all="ignore"):  # _check_estimable rejects what the errors produce
+    with np.errstate(all="ignore"):  # RateEstimate rejects what the errors produce
         fit = _batch.estimate_counts(e[:, :, None], n[:, :, None], m)
-    _check_estimable(fit, m)
     return RateEstimate(
         Lambda_hat=_rows(fit.Lambda),
         lambda_hat=_rows(fit.lam),

@@ -20,13 +20,12 @@ from reviewrate import (
     estimate_theta,
     generate_stratum,
     run_sweep,
-    sample_binomial,
-    sample_poisson,
     scenario_rare,
     summarize_comprehensive,
 )
 from reviewrate import _batch
 from reviewrate.cli import main
+from reviewrate.distributions import sample_binomial, sample_poisson
 from reviewrate.study import _scenario_arrays
 from helpers import em_fixed_point_residual_t2
 

@@ -174,6 +174,13 @@ class TestEstimate:
         (iv,) = doc["intervals"]
         assert iv["lower"] == 0.0 and iv["upper"] > 0.0
 
+    @pytest.mark.parametrize("ci", ["wald", "gamma", "none"])
+    def test_replicate_count_is_checked_only_with_the_bootstrap(self, tmp_path, ci):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"m": 1.0, "strata": [{"e": [1, 1], "n": [1]}]}))
+        assert main(["estimate", str(data), "--ci", ci, "--B", "50"]) == 0
+        assert main(["estimate", str(data), "--ci", ci, "--B", "50", "--level", "1.5"]) == 1
+
     def test_bad_level_is_usage_error(self, tmp_path):
         data = {"m": 1.0, "strata": [{"e": [1, 1], "n": [1]}]}
         dpath = tmp_path / "d.json"
@@ -569,3 +576,18 @@ def test_generate_does_not_load_scipy(tmp_path, scenario_file):
     probes = [line for line in proc.stdout.splitlines() if line.startswith("probe:")]
     assert probes[0] == "probe: 0 [] []"
     assert probes[1] == "probe: 0 True"  # the gamma interval loads scipy, so the probe sees it
+
+
+def test_python_m_runs_the_cli(tmp_path, scenario_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(reviewrate.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "reviewrate.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    proc = run("generate", scenario_file, "--seed", "3", "--out", str(tmp_path / "m.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["generate", scenario_file, "--seed", "3", "--out", str(tmp_path / "d.json")]) == 0
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+    proc = run("generate", scenario_file)
+    assert proc.returncode == 1 and "usage error" in proc.stderr

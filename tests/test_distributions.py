@@ -8,13 +8,8 @@ from scipy.special import gammainc
 
 from helpers import mp_gamma_quantile
 
-from reviewrate import (
-    InvalidDataError,
-    RngStream,
-    sample_binomial,
-    sample_mv_hypergeometric,
-    sample_poisson,
-)
+from reviewrate import InvalidDataError, RngStream
+from reviewrate.distributions import sample_binomial, sample_mv_hypergeometric, sample_poisson
 from reviewrate._batch import moment_gamma_quantile, wald_bounds
 
 

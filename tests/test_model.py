@@ -1,5 +1,7 @@
 """Tests for the domain types, validation, and JSON round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from reviewrate import (
     LatentTable,
     ObservedStratum,
     ReviewConfig,
+    RngStream,
     Scenario,
     StratumParams,
+    estimate_theta,
+    generate_dataset,
+    scenario_rare,
     validate_observed,
 )
 
@@ -204,6 +210,25 @@ class TestDataset:
         assert type(config.H) is int and type(config.T) is int and type(config.m) is float
         params = StratumParams(lambdas=np.array([1, 2.5]), pis=np.array([0.5]))
         assert params.lambdas == (1.0, 2.5) and type(params.lambdas[0]) is float
+
+
+class TestRateEstimate:
+    ESTIMATE = estimate_theta(generate_dataset(scenario_rare(0.3), RngStream(0))[1])
+    LAM = ESTIMATE.lambda_hat
+
+    @pytest.mark.parametrize("fields", [
+        dict(theta_hat="1"),
+        dict(m=0.0),
+        dict(m=-1.0),
+        dict(lambda_hat=((-1.0, *LAM[0][1:]), *LAM[1:])),
+        dict(lambda_hat=LAM[1:]),
+        dict(weights=()),
+        dict(variance=-1.0),
+    ], ids=["string-theta", "zero-mileage", "negative-mileage", "negative-rate",
+            "missing-stratum", "no-weights", "negative-variance"])
+    def test_bad_field_is_rejected_when_built(self, fields):
+        with pytest.raises(InvalidDataError):
+            dataclasses.replace(self.ESTIMATE, **fields)
 
 
 class TestIntervalResult:
