@@ -14,12 +14,15 @@ Three constructions with different coverage/width trade-offs:
   under-coverage is the costlier mistake.
 
 All three read one fit, the ``RateEstimate`` of ``estimate_theta``, and
-never the counts. The bootstrap simulates from its rates at its mileage. The
-Wald and gamma intervals read one variance, ``RateEstimate.variance``
-(``sum_h w_h^2 e_hT``, equal to ``(1/m) sum_h lambda_hT / pi_h``): they differ
-only in the distribution they invert and in the gamma upper bound's shift by
-the largest weight. Each is a one-lane view of the bounds in ``_batch``,
-which the study applies to every lane of a cell's fit.
+never the counts. An estimate is built from a ``Dataset`` only, so every
+estimate they read is a fit of checked counts at a mileage that suits them,
+and they check nothing of it themselves. The bootstrap simulates from its
+rates at its mileage. The Wald and gamma intervals read one variance,
+``RateEstimate.variance`` (``sum_h w_h^2 e_hT``, equal to
+``(1/m) sum_h lambda_hT / pi_h``): they differ only in the distribution they
+invert and in the gamma upper bound's shift by the largest weight. Each is
+a one-lane view of the bounds in ``_batch``, which the study applies to every
+lane of a cell's fit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import _batch
 from .distributions import RngStream
-from .model import IntervalResult, RateEstimate, check_bootstrap_replicates, check_level
+from .estimator import RateEstimate
+from .model import IntervalResult, check_bootstrap_replicates, check_level
 
 __all__ = ["ci_bootstrap", "ci_wald", "ci_gamma_wsip"]
 

@@ -5,9 +5,9 @@ permissive (any integer content is accepted) so that a single stratum read
 from a file can be inspected; :func:`validate_observed` performs the full
 consistency check and reports the first violated constraint. A ``Dataset`` is
 checked: it runs that check on each of its strata when it is built, so every
-dataset holds counts the estimator is defined on. A ``RateEstimate`` is
-checked when built too, so every estimate holds a fit the three intervals
-are defined on. The module imports nothing else from the package.
+dataset holds counts the estimator is defined on. A value that is not a
+sequence where one belongs raises ``InvalidDataError`` naming the field. The
+module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "LatentTable",
     "ObservedStratum",
     "Dataset",
-    "RateEstimate",
     "IntervalResult",
     "ValidationResult",
     "validate_observed",
@@ -104,14 +103,32 @@ def check_integer(v: Any, what: str) -> int:
     raise InvalidDataError(f"{what}: expected an integer, got {v!r}")
 
 
+def _not_a_sequence(values: Any, what: str) -> InvalidDataError:
+    return InvalidDataError(f"{what}: expected a sequence, got {values!r}")
+
+
+def _tuple(values: Iterable[Any], what: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise _not_a_sequence(values, what) from None
+
+
 # The type tests spare plain ints and floats a call, which would be most of
-# the cost of reading a file.
+# the cost of reading a file. Only a value that is not iterable raises the
+# TypeError: the element conversions raise InvalidDataError.
 def _int_tuple(values: Iterable[Any], what: str) -> tuple[int, ...]:
-    return tuple(v if type(v) is int else check_integer(v, what) for v in values)
+    try:
+        return tuple(v if type(v) is int else check_integer(v, what) for v in values)
+    except TypeError:
+        raise _not_a_sequence(values, what) from None
 
 
 def _float_tuple(values: Iterable[Any], what: str) -> tuple[float, ...]:
-    return tuple([float(v) if isinstance(v, float) else _real(v, what) for v in values])
+    try:
+        return tuple([float(v) if isinstance(v, float) else _real(v, what) for v in values])
+    except TypeError:
+        raise _not_a_sequence(values, what) from None
 
 
 @dataclass(frozen=True)
@@ -168,7 +185,7 @@ class Scenario:
     strata: tuple[StratumParams, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
+        object.__setattr__(self, "strata", _tuple(self.strata, "strata"))
         if len(self.strata) != self.config.H:
             raise InvalidDataError(
                 f"expected {self.config.H} strata, got {len(self.strata)}"
@@ -230,7 +247,7 @@ class LatentTable:
     x: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(_int_tuple(row, "latent counts") for row in self.x)
+        rows = tuple(_int_tuple(row, "latent counts") for row in _tuple(self.x, "latent rows"))
         object.__setattr__(self, "x", rows)
         for t, row in enumerate(rows):
             if len(row) != t + 1:
@@ -332,7 +349,7 @@ class Dataset:
     strata: tuple[ObservedStratum, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strata", tuple(self.strata))
+        object.__setattr__(self, "strata", _tuple(self.strata, "strata"))
         if len(self.strata) != self.config.H:
             raise InvalidDataError(
                 f"expected {self.config.H} strata, got {len(self.strata)}"
@@ -364,99 +381,6 @@ class Dataset:
         tiers = strata[0].tiers
         config = ReviewConfig(m=m, H=len(strata), T=tiers)
         return cls(config=config, strata=strata)
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Point estimates for one dataset.
-
-    ``Lambda_hat[h][t]`` estimates the rate of events that would survive
-    tiers 1..t in stratum h, ``lambda_hat[h][t]`` the per-class rates,
-    ``pi_hat[h][t]`` the per-tier sampling rates (filled with 1 past early
-    termination), ``pi_prod[h]`` their product, and ``weights[h]`` the
-    inverse-sampling weight ``1 / (m * pi_prod[h])``. ``theta_hat`` is the
-    aggregate surviving-event rate, the sum over strata of the last
-    ``lambda_hat`` entry, and ``variance`` its plug-in variance
-    ``sum_h weights[h]^2 e_hT``, which the Wald and gamma intervals share.
-    ``m`` is the mileage the rates are per, which the bootstrap simulates at.
-
-    An estimate is checked when it is built, so the intervals can read any
-    ``RateEstimate``: its fields must be numbers for H >= 1 strata of
-    T >= 1 tiers, with non-negative rates, sampling rates in (0, 1], positive
-    weights and a non-negative variance. A finite mileage with a finite
-    reciprocal can still overflow the estimates or the weights when tiny, and
-    underflow ``w^2`` to 0 when huge. So ``sum Lambda_0``, which bounds every
-    rate estimate, and the gamma upper bound's moments ``(theta + max w)^2``
-    and ``variance + (max w)^2`` must be finite, that last variance positive,
-    and the variance positive when ``theta > 0``.
-    """
-
-    Lambda_hat: tuple[tuple[float, ...], ...]
-    lambda_hat: tuple[tuple[float, ...], ...]
-    pi_hat: tuple[tuple[float, ...], ...]
-    pi_prod: tuple[float, ...]
-    weights: tuple[float, ...]
-    theta_hat: float
-    variance: float
-    m: float
-
-    def __post_init__(self) -> None:
-        fields = {
-            "Lambda_hat": tuple(_float_tuple(row, "rates") for row in self.Lambda_hat),
-            "lambda_hat": tuple(_float_tuple(row, "rates") for row in self.lambda_hat),
-            "pi_hat": tuple(_float_tuple(row, "sampling rates") for row in self.pi_hat),
-            "pi_prod": _float_tuple(self.pi_prod, "sampling rates"),
-            "weights": _float_tuple(self.weights, "weights"),
-            "theta_hat": _real(self.theta_hat, "theta_hat"),
-            "variance": _real(self.variance, "variance"),
-            "m": check_mileage(self.m),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        rates, pis = self.Lambda_hat + self.lambda_hat, self.pi_hat
-        H, T = len(pis), len(pis[0]) if pis else 0
-        if not (
-            H >= 1 and T >= 1
-            and len(self.Lambda_hat) == len(self.lambda_hat) == len(self.pi_prod) == H
-            and len(self.weights) == H
-            and all(len(row) == T + 1 for row in rates) and all(len(row) == T for row in pis)
-        ):
-            raise InvalidDataError(
-                "an estimate needs H >= 1 strata, each with T + 1 rates and T >= 1 "
-                f"sampling rates, got {len(self.Lambda_hat)} Lambda_hat rows, "
-                f"{len(self.lambda_hat)} lambda_hat rows, {H} pi_hat rows, "
-                f"{len(self.pi_prod)} pi_prod and {len(self.weights)} weights"
-            )
-
-        theta, variance, w_max = self.theta_hat, self.variance, max(self.weights)
-        if variance < 0:  # it would fail the moments below, under a message about mileage
-            raise InvalidDataError(f"variance must be non-negative, got {variance!r}")
-        mean, upper_var = theta + w_max, variance + w_max * w_max
-        moments = (sum(row[0] for row in self.Lambda_hat), mean * mean, upper_var)
-        if not (
-            all(map(math.isfinite, moments)) and upper_var > 0 and (not theta > 0 or variance > 0)
-        ):
-            raise InvalidDataError(
-                f"mileage m={self.m!r} does not suit these counts: the rate estimates, "
-                "their weights or the interval moments overflow or vanish"
-            )
-
-        # After the moments: a fit that overflowed holds NaN rates, which their message explains.
-        for row in ((theta,), *rates):
-            for v in row:
-                if not v >= 0:
-                    raise InvalidDataError(f"rates must be non-negative, got {v!r}")
-        for row in (self.pi_prod, *pis):
-            for v in row:
-                if not 0 < v <= 1:
-                    raise InvalidDataError(f"sampling rates must lie in (0, 1], got {v!r}")
-        for v in self.weights:
-            if not v > 0:
-                raise InvalidDataError(f"weights must be positive, got {v!r}")
-
-    @property
-    def theta_by_stratum(self) -> tuple[float, ...]:
-        return tuple(lam[-1] for lam in self.lambda_hat)
 
 
 @dataclass(frozen=True)

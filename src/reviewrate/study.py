@@ -44,7 +44,9 @@ from . import _batch
 from .distributions import RngStream
 from .generator import _scenario_arrays
 from .model import CI_METHODS, InvalidDataError, ReviewConfig, Scenario, StratumParams
-from .model import _float_tuple, _real, check_bootstrap_replicates, check_integer, check_level
+from .model import (
+    _float_tuple, _real, _tuple, check_bootstrap_replicates, check_integer, check_level,
+)
 
 __all__ = [
     "StudySpec",
@@ -121,7 +123,7 @@ class StudySpec:
             raise InvalidDataError(f"replications must be at least 1, got {self.replications}")
         object.__setattr__(self, "level", check_level(self.level))
         object.__setattr__(self, "master_seed", RngStream(self.master_seed).master_seed)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _tuple(self.methods, "methods"))
         if not self.methods:
             raise InvalidDataError(f"methods must name at least one of {CI_METHODS}")
         for method in self.methods:

@@ -1,6 +1,7 @@
 """Tests for the point estimator, checked against the EM fixed-point verification oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,25 @@ class TestEstimateLambdaCapital:
             estimate_stratum(ObservedStratum(e=(5, 1), n=(3,)), 0.0)
         with pytest.raises(InvalidDataError):
             estimate_stratum(ObservedStratum(e=(5, 1), n=(3,)), "1")
+
+
+class TestEstimability:
+    @pytest.mark.parametrize("data", [
+        {"m": 1e-300, "strata": [{"e": [1000000000, 10], "n": [20]}]},
+        {"m": 1e-300, "strata": [{"e": [10, 0], "n": [1]}]},
+        {"m": 1e-140, "strata": [{"e": [10**15, 5 * 10**14], "n": [10**15]}]},
+        {"m": 1e-308, "strata": [{"e": [8 * 10**15, 1], "n": [1]}]},
+        {"m": 1e300, "strata": [{"e": [10, 5], "n": [10]}]},
+        {"m": 1e200, "strata": [{"e": [10, 0], "n": [10]}]},
+    ], ids=["rate-overflow", "weight-overflow", "squared-rate-overflow", "m-pi-underflow",
+            "variance-underflow", "upper-variance-underflow"])
+    def test_mileage_that_does_not_suit_the_counts_is_rejected(self, data):
+        dataset = Dataset.from_dict(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidDataError, match="does not suit these counts"):
+                estimate_theta(dataset)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestEstimateLambda:

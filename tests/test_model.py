@@ -11,15 +11,20 @@ from reviewrate import (
     InvalidDataError,
     LatentTable,
     ObservedStratum,
+    RateEstimate,
     ReviewConfig,
     RngStream,
     Scenario,
     StratumParams,
+    StudySpec,
     estimate_theta,
     generate_dataset,
+    scenario_common,
     scenario_rare,
+    summarize_comprehensive,
     validate_observed,
 )
+from reviewrate import _batch
 
 
 class TestReviewConfig:
@@ -213,22 +218,85 @@ class TestDataset:
 
 
 class TestRateEstimate:
-    ESTIMATE = estimate_theta(generate_dataset(scenario_rare(0.3), RngStream(0))[1])
-    LAM = ESTIMATE.lambda_hat
+    DATASET = generate_dataset(scenario_rare(0.3), RngStream(0))[1]
+    ESTIMATE = estimate_theta(DATASET)
+    DERIVED = ("Lambda_hat", "lambda_hat", "pi_hat", "pi_prod", "weights", "theta_hat",
+               "variance")
 
-    @pytest.mark.parametrize("fields", [
-        dict(theta_hat="1"),
-        dict(m=0.0),
-        dict(m=-1.0),
-        dict(lambda_hat=((-1.0, *LAM[0][1:]), *LAM[1:])),
-        dict(lambda_hat=LAM[1:]),
-        dict(weights=()),
-        dict(variance=-1.0),
-    ], ids=["string-theta", "zero-mileage", "negative-mileage", "negative-rate",
-            "missing-stratum", "no-weights", "negative-variance"])
-    def test_bad_field_is_rejected_when_built(self, fields):
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_derived_field_cannot_be_set(self, name):
+        value = getattr(self.ESTIMATE, name)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(self.ESTIMATE, **{name: value})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            RateEstimate(self.DATASET, **{name: value})
+
+    @pytest.mark.parametrize("strata", [
+        lambda s: (ObservedStratum(e=(-1, *s[0].e[1:]), n=s[0].n), *s[1:]),
+        lambda s: s[1:],
+    ], ids=["negative-rate", "missing-stratum"])
+    def test_bad_field_is_rejected_when_built(self, strata):
+        # Counts that would give a negative rate or drop a stratum are stopped
+        # by the Dataset, so no estimate can be built from them.
         with pytest.raises(InvalidDataError):
-            dataclasses.replace(self.ESTIMATE, **fields)
+            dataclasses.replace(
+                self.ESTIMATE,
+                dataset=Dataset(self.DATASET.config, strata=strata(self.DATASET.strata)),
+            )
+
+    @pytest.mark.parametrize("m", [0.0, -1.0], ids=["zero-mileage", "negative-mileage"])
+    def test_bad_mileage_is_rejected_with_the_dataset(self, m):
+        with pytest.raises(InvalidDataError, match="mileage must be positive"):
+            Dataset.from_dict({**self.DATASET.to_dict(), "m": m})
+
+    @pytest.mark.parametrize("scenario", [scenario_rare(0.1), scenario_rare(1.0),
+                                          scenario_common(0.1), scenario_common(0.6)],
+                             ids=["rare-0.1", "rare-1.0", "common-0.1", "common-0.6"])
+    def test_fields_are_lane_zero_of_the_batch_fit(self, scenario):
+        for seed in range(5):
+            dataset = generate_dataset(scenario, RngStream(seed))[1]
+            est = estimate_theta(dataset)
+            e = np.array([s.e for s in dataset.strata])[:, :, None]
+            n = np.array([s.n for s in dataset.strata])[:, :, None]
+            fit = _batch.estimate_counts(e, n, dataset.config.m)
+            assert [list(row) for row in est.Lambda_hat] == fit.Lambda[:, :, 0].tolist()
+            assert [list(row) for row in est.lambda_hat] == fit.lam[:, :, 0].tolist()
+            assert [list(row) for row in est.pi_hat] == fit.pi_tier[:, :, 0].tolist()
+            assert list(est.pi_prod) == fit.pi_prod[:, 0].tolist()
+            assert list(est.weights) == fit.weights[:, 0].tolist()
+            assert [est.theta_hat, est.variance] == [fit.theta.tolist()[0],
+                                                     fit.variance.tolist()[0]]
+            assert est.m == dataset.config.m and est.dataset is dataset
+
+    def test_replacing_the_dataset_refits(self):
+        other = generate_dataset(scenario_rare(0.3), RngStream(1))[1]
+        assert other != self.DATASET
+        refit = dataclasses.replace(self.ESTIMATE, dataset=other)
+        assert refit == estimate_theta(other)
+        assert refit != self.ESTIMATE
+
+
+class TestNotASequence:
+    CONFIG = ReviewConfig(m=1.0, H=1, T=1)
+
+    @pytest.mark.parametrize("build", [
+        lambda c: ObservedStratum(e=5, n=(1,)),
+        lambda c: ObservedStratum(e=None, n=(1,)),
+        lambda c: StratumParams(lambdas=1.0, pis=(0.5,)),
+        lambda c: LatentTable(x=3),
+        lambda c: LatentTable(x=(3,)),
+        lambda c: StudySpec(source="fixed-rare", pi1_grid=0.5),
+        lambda c: StudySpec(source="fixed-rare", methods=5),
+        lambda c: Dataset(c, strata=5),
+        lambda c: Scenario(c, strata=5),
+        lambda c: RngStream(0, path=3),
+        lambda c: summarize_comprehensive([], grid=1.0),
+    ], ids=["stratum-e-int", "stratum-e-none", "params-rates", "latent-scalar",
+            "latent-scalar-row", "spec-grid", "spec-methods", "dataset-strata",
+            "scenario-strata", "stream-path", "summary-grid"])
+    def test_scalar_where_a_sequence_belongs_is_invalid_data(self, build):
+        with pytest.raises(InvalidDataError, match="expected a sequence"):
+            build(self.CONFIG)
 
 
 class TestIntervalResult:
