@@ -48,6 +48,10 @@ __all__ = [
     "bootstrap_bounds",
 ]
 
+# The most lanes for which ``generate_counts`` draws every leaf in one
+# broadcast Poisson call; more lanes take one call per stratum and leaf.
+_ONE_CALL_LANES = 128
+
 
 def hypergeometric_split(
     counts: np.ndarray, n_draw: np.ndarray, gen: np.random.Generator
@@ -112,7 +116,15 @@ def generate_counts(
     Draw order: the survivors leaf, then per tier from T down to 1 the
     rejected leaf and then the unreviewed leaf, each an (H, size) block in
     (stratum, lane) order, then per tier from 1 to T one binomial call for
-    the repaired lanes, in (stratum, lane) order.
+    the repaired lanes, in (stratum, lane) order. Both Poisson paths draw the
+    leaves in that order, so they take the same draws from ``gen``. At most
+    ``_ONE_CALL_LANES`` lanes, such as one lane of a dataset, take every
+    leaf in one broadcast call and sum the leaves along its leaf axis: there
+    numpy's fixed cost per call, paid (2T+1)*H times by the per-row path,
+    outweighs the broadcast path's higher cost per draw. Both costs scale
+    with the (2T+1)*H rows, so the crossover is a lane count: near 200 lanes
+    at each H and T tried. More lanes add one row at a time into the
+    outputs (``_add_poisson``).
     """
     lambdas = np.asarray(lambdas, dtype=float)
     pis = np.asarray(pis, dtype=float)
@@ -130,12 +142,22 @@ def generate_counts(
         n = np.empty((H, T, size), dtype=np.int64)
     except ValueError as exc:  # numpy's refusal of a lane count past its address space
         raise MemoryError(f"{size} lanes do not fit in memory") from exc
-    e[:, T] = 0
-    _add_poisson(e[:, T], reach[:, T] * lambdas[:, T], gen, out=e[:, T])
-    for t in range(T, 0, -1):
-        _add_poisson(e[:, t], reach[:, t] * lambdas[:, t - 1], gen, out=n[:, t - 1])
-        unreviewed = reach[:, t - 1] * tail[:, t - 1] * (1.0 - pis[:, t - 1])
-        _add_poisson(n[:, t - 1], unreviewed, gen, out=e[:, t - 1])
+    # The leaf rates (2T+1, H) in draw order; ``rates[0]`` is the survivors leaf.
+    rates = np.empty((2 * T + 1, H))
+    rates[0] = reach[:, T] * lambdas[:, T]
+    rates[1::2] = (reach[:, :0:-1] * lambdas[:, T - 1 :: -1]).T
+    rates[2::2] = (reach[:, T - 1 :: -1] * tail[:, T - 1 :: -1] * (1.0 - pis[:, ::-1])).T
+    if size <= _ONE_CALL_LANES:
+        # Running sums over the leaves: e_T, n_T, e_{T-1}, ..., n_1, e_0.
+        sums = np.cumsum(gen.poisson(rates[:, :, None], size=(2 * T + 1, H, size)), axis=0)
+        e[:] = sums[::-2].transpose(1, 0, 2)
+        n[:] = sums[-2::-2].transpose(1, 0, 2)
+    else:
+        e[:, T] = 0
+        _add_poisson(e[:, T], rates[0], gen, out=e[:, T])
+        for t, rejected, unreviewed in zip(range(T, 0, -1), rates[1::2], rates[2::2]):
+            _add_poisson(e[:, t], rejected, gen, out=n[:, t - 1])
+            _add_poisson(n[:, t - 1], unreviewed, gen, out=e[:, t - 1])
     for t in range(1, T + 1):
         h, r = np.nonzero((e[:, t - 1] > 0) & (n[:, t - 1] == 0))
         if h.size:
@@ -149,9 +171,11 @@ def _add_poisson(
 ) -> None:
     """Set ``out[h] = base[h] + Poisson(rates[h])`` for each row h of an (H, size) block.
 
-    The draws are those of ``gen.poisson(rates[:, None], size=out.shape)``:
-    one call per row with a scalar rate skips numpy's broadcasting iterator,
-    which costs about 10% more per draw.
+    The draws are those of ``gen.poisson(rates[:, None], size=out.shape)``,
+    in the leaf order of ``generate_counts``: one call per row with a scalar
+    rate skips numpy's broadcasting iterator, which costs about 10% more per
+    draw, but pays numpy's fixed cost per call H times. ``generate_counts``
+    calls it only on blocks of more than ``_ONE_CALL_LANES`` lanes.
     """
     for h, rate in enumerate(rates):
         np.add(base[h], gen.poisson(rate, out.shape[1]), out=out[h])

@@ -133,6 +133,22 @@ def _load_json(path: str) -> dict:
         raise InvalidDataError(f"cannot parse {path}: {exc}") from exc
 
 
+def _dumps(doc: dict) -> str:
+    """``doc`` as JSON, one line per top-level key and per entry of a list of lists or objects.
+
+    Each line's values go through ``json.dumps`` without ``indent``, which
+    uses the C encoder; with ``indent`` set, ``json`` encodes in pure Python.
+    """
+    items = []
+    for key, value in doc.items():
+        if value and isinstance(value, list) and all(isinstance(v, (list, dict)) for v in value):
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 @contextlib.contextmanager
 def _flag_values() -> Iterator[None]:
     """Report a value the library rejects as a usage error: it came from a flag."""
@@ -185,10 +201,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = Scenario.from_dict(_load_json(args.scenario))
     with _staged_outputs(args.out, args.latent) as texts:
         latents, dataset = generate_dataset(scenario, _stream(args))
-        texts[args.out] = json.dumps(dataset.to_dict(), indent=2) + "\n"
+        texts[args.out] = _dumps(dataset.to_dict())
         if args.latent:
             doc = {"strata": [{"x": [list(row) for row in latent.x]} for latent in latents]}
-            texts[args.latent] = json.dumps(doc, indent=2) + "\n"
+            texts[args.latent] = _dumps(doc)
     print(f"wrote {args.out}" + (f" and {args.latent}" if args.latent else ""))
     return 0
 
@@ -235,7 +251,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                     for iv in intervals
                 ],
             }
-            texts[args.json_out] = json.dumps(report, indent=2) + "\n"
+            texts[args.json_out] = _dumps(report)
     return 0
 
 

@@ -6,8 +6,9 @@ from a file can be inspected; :func:`validate_observed` performs the full
 consistency check and reports the first violated constraint. A ``Dataset`` is
 checked: it runs that check on each of its strata when it is built, so every
 dataset holds counts the estimator is defined on. A value that is not a
-sequence where one belongs raises ``InvalidDataError`` naming the field. The
-module imports nothing else from the package.
+sequence where one belongs, or a config or stratum of the wrong type, raises
+``InvalidDataError`` naming the field. The module imports nothing else from
+the package.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def _tuple(values: Iterable[Any], what: str) -> tuple:
         raise _not_a_sequence(values, what) from None
 
 
+def _check_type(value: Any, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise InvalidDataError(f"{what}: expected {kind.__name__}, got {value!r}")
+
+
 # The type tests spare plain ints and floats a call, which would be most of
 # the cost of reading a file. Only a value that is not iterable raises the
 # TypeError: the element conversions raise InvalidDataError.
@@ -185,12 +191,14 @@ class Scenario:
     strata: tuple[StratumParams, ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.config, ReviewConfig, "config")
         object.__setattr__(self, "strata", _tuple(self.strata, "strata"))
         if len(self.strata) != self.config.H:
             raise InvalidDataError(
                 f"expected {self.config.H} strata, got {len(self.strata)}"
             )
         for i, s in enumerate(self.strata):
+            _check_type(s, StratumParams, f"stratum {i}")
             if s.tiers != self.config.T:
                 raise InvalidDataError(
                     f"stratum {i} has {s.tiers} tiers, expected {self.config.T}"
@@ -349,12 +357,14 @@ class Dataset:
     strata: tuple[ObservedStratum, ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.config, ReviewConfig, "config")
         object.__setattr__(self, "strata", _tuple(self.strata, "strata"))
         if len(self.strata) != self.config.H:
             raise InvalidDataError(
                 f"expected {self.config.H} strata, got {len(self.strata)}"
             )
         for i, s in enumerate(self.strata):
+            _check_type(s, ObservedStratum, f"stratum {i}")
             check = validate_observed(s, tiers=self.config.T)
             if not check:
                 raise InvalidDataError(f"invalid stratum {i}: {check.reason}")

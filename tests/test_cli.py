@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,19 @@ from pathlib import Path
 import pytest
 
 import reviewrate
-from reviewrate import Dataset, _batch, cli, validate_observed
+from reviewrate import (
+    Dataset,
+    RngStream,
+    Scenario,
+    _batch,
+    ci_bootstrap,
+    ci_gamma_wsip,
+    ci_wald,
+    cli,
+    estimate_theta,
+    generate_dataset,
+    validate_observed,
+)
 from reviewrate.cli import main
 from reviewrate.study import CSV_HEADER
 
@@ -285,6 +298,48 @@ class TestEstimate:
                             lambda *args: fits.append(args) or estimate_counts(*args))
         assert main(["estimate", str(out), "--ci", "all", "--B", "200", "--seed", "4"]) == 0
         assert len(fits) == 1
+
+
+class TestOutputFiles:
+    # The files hold the documents the library builds in-process, one row per line.
+    def test_outputs_match_the_in_process_documents(self, tmp_path, scenario_file):
+        data, latent, report = (str(tmp_path / name) for name in ("d.json", "l.json", "r.json"))
+        assert main(["generate", scenario_file, "--seed", "8", "--out", data,
+                     "--latent", latent]) == 0
+        assert main(["estimate", data, "--B", "200", "--seed", "9", "--json", report]) == 0
+
+        latents, dataset = generate_dataset(Scenario.from_dict(COMMON_SCENARIO), RngStream(8))
+        estimate = estimate_theta(dataset)
+        intervals = [ci_bootstrap(estimate, 0.9, 200, RngStream(9)),
+                     ci_wald(estimate, 0.9), ci_gamma_wsip(estimate, 0.9)]
+        expected_report = {
+            "m": estimate.m,
+            "theta_hat": estimate.theta_hat,
+            "Lambda_hat": [list(v) for v in estimate.Lambda_hat],
+            "lambda_hat": [list(v) for v in estimate.lambda_hat],
+            "pi_hat": [list(v) for v in estimate.pi_hat],
+            "pi_prod": list(estimate.pi_prod),
+            "weights": list(estimate.weights),
+            "intervals": [{"method": iv.method, "level": iv.level,
+                           "lower": iv.lower, "upper": iv.upper} for iv in intervals],
+        }
+        assert json.loads(Path(data).read_text()) == dataset.to_dict()
+        assert json.loads(Path(latent).read_text()) == {
+            "strata": [{"x": [list(row) for row in t.x]} for t in latents]}
+        assert json.loads(Path(report).read_text()) == expected_report
+
+    def test_dataset_file_has_the_readme_layout(self, tmp_path, scenario_file):
+        data = tmp_path / "d.json"
+        assert main(["generate", scenario_file, "--seed", "8", "--out", str(data)]) == 0
+        lines = data.read_text().split("\n")
+        assert lines[:3] == ["{", '  "m": 1.0,', '  "strata": [']
+        assert lines[-3:] == ["  ]", "}", ""]
+        rows = lines[3:-3]
+        assert len(rows) == len(COMMON_SCENARIO["strata"])
+        counts = r"\[\d+(, \d+)*\]"
+        for k, row in enumerate(rows):
+            comma = "," if k < len(rows) - 1 else ""
+            assert re.fullmatch(rf'    \{{"e": {counts}, "n": {counts}\}}{comma}', row), row
 
 
 class TestStudy:

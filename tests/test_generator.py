@@ -281,6 +281,66 @@ class TestStratumWithNoSurvivingRate:
         assert not e[1, 2].any() and not n[1, 2].any()
 
 
+class _CountingGenerator:
+    """A generator that counts its Poisson calls."""
+
+    def __init__(self, gen):
+        self.gen, self.poisson_calls = gen, 0
+
+    def poisson(self, *args, **kwargs):
+        self.poisson_calls += 1
+        return self.gen.poisson(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+class TestOneCallLeafDraws:
+    # Both Poisson paths of generate_counts, forced by the lane limit (-1 for
+    # the per-row path, even at 0 lanes), take the same draws: the counts and
+    # the generator's final state agree.
+    SCENARIOS = {
+        "common-0.1": _scenario_arrays(scenario_common(0.1)),
+        "common-1.0": _scenario_arrays(scenario_common(1.0)),
+        "rare-0.1": _scenario_arrays(scenario_rare(0.1)),
+        "rare-1.0": _scenario_arrays(scenario_rare(1.0)),
+        "one-stratum-one-tier": (np.array([[2.0, 3.0]]), np.array([[0.4]])),
+        # A class rate of 0 and a tier with pi = 1 make leaves of rate 0.
+        "zero-rate-leaves": (np.array([[0.0, 2.0, 3.0], [1.0, 0.0, 4.0]]),
+                             np.array([[1.0, 0.5], [0.3, 1.0]])),
+        "forced-single-reviews": (np.array([[2.0, 1.5, 0.7, 0.0], [3.0, 1.0, 0.0, 0.0]]),
+                                  np.array([[0.3, 0.05, 0.05], [0.2, 0.05, 0.05]])),
+    }
+    LIMIT = _batch._ONE_CALL_LANES
+
+    def _draw(self, monkeypatch, limit, lam, pis, size, seed):
+        monkeypatch.setattr(_batch, "_ONE_CALL_LANES", limit)
+        gen = _CountingGenerator(np.random.default_rng(seed))
+        e, n = _batch.generate_counts(lam, pis, 1.3, size, gen)
+        return e, n, gen.bit_generator.state, gen.poisson_calls
+
+    @pytest.mark.parametrize("size", [0, 1, 7, LIMIT - 1, LIMIT, LIMIT + 1])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_one_call_and_per_row_draws_agree(self, monkeypatch, name, size):
+        lam, pis = self.SCENARIOS[name]
+        H, T = pis.shape
+        for seed in range(3):
+            e1, n1, state1, calls1 = self._draw(monkeypatch, 10**9, lam, pis, size, seed)
+            e0, n0, state0, calls0 = self._draw(monkeypatch, -1, lam, pis, size, seed)
+            assert (calls1, calls0) == (1, (2 * T + 1) * H)
+            assert e1.dtype == e0.dtype == np.int64 and e1.flags.c_contiguous
+            np.testing.assert_array_equal(e1, e0)
+            np.testing.assert_array_equal(n1, n0)
+            assert state1 == state0
+
+    def test_the_limit_picks_the_path(self, monkeypatch):
+        lam, pis = self.SCENARIOS["common-0.1"]
+        H, T = pis.shape
+        calls = [self._draw(monkeypatch, self.LIMIT, lam, pis, size, 0)[3]
+                 for size in (self.LIMIT, self.LIMIT + 1)]
+        assert calls == [1, (2 * T + 1) * H]
+
+
 class TestBatchSamplerMemory:
     def test_peak_allocation_is_outputs_plus_two_blocks(self):
         # The leaves are added into the output arrays in place, so beside the

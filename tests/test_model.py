@@ -299,6 +299,20 @@ class TestNotASequence:
             build(self.CONFIG)
 
 
+class TestWrongType:
+    CONFIG = ReviewConfig(m=1.0, H=1, T=1)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda c: Dataset(c, strata=(5,)), "stratum 0"),
+        (lambda c: Scenario(c, strata=(5,)), "stratum 0"),
+        (lambda c: Dataset(config=None, strata=()), "config"),
+        (lambda c: Scenario(config=None, strata=()), "config"),
+    ], ids=["dataset-stratum", "scenario-stratum", "dataset-config", "scenario-config"])
+    def test_wrong_type_is_invalid_data_naming_the_field(self, build, field):
+        with pytest.raises(InvalidDataError, match=f"^{field}: expected "):
+            build(self.CONFIG)
+
+
 class TestIntervalResult:
     def test_width(self):
         iv = IntervalResult(method="wald", level=0.9, lower=1.0, upper=3.0)
